@@ -157,8 +157,8 @@ def check_structure(n, tables, validity):
 
 def structure_groups(jobs, results, failed):
     """Problems per job id from the cross-theory invariants of every
-    structure whose table jobs all passed their own checks (no id in
-    ``failed``)."""
+    structure whose table jobs all ran (have an id in ``results``) and
+    passed their own checks (no id in ``failed``)."""
     by_group = {}
     for job in jobs:
         if job.get("command") == "table":
@@ -167,7 +167,7 @@ def structure_groups(jobs, results, failed):
     for group, members in by_group.items():
         tables, validity = {}, None
         for job in members:
-            if job["id"] in failed:
+            if job["id"] in failed or job["id"] not in results:
                 break
             payload = _payload(results[job["id"]])
             tables[job["theory"]] = payload["hodge"][job["theory"]]

@@ -157,3 +157,38 @@ def test_each_invariant_catches_its_violation(dense_run):
     assert "Angella-Tomassini inequality fails" in broken(drop_bc_aeppli)
     assert "h_BC^{p,q} != h_A^{n-p,n-q}" in broken(shift_bc)
     assert "h_delbar^{p,q} != h_del^{q,p}" in broken(swap_dolbeault)
+
+
+def test_probe_runs_no_nilcoh_code():
+    code = ("import sys; import calibrate; calibrate.probe(); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'nilcoh'))")
+    out = subprocess.run([sys.executable, "-c", code], cwd=str(HERE), capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_latencies_are_scaled_by_the_mean_probe_time():
+    fake = run.Run([], 0.0)
+    fake.passes = [(False, 3.0, {"a": {"latency": 1.0, "maxrss_kb": 1024},
+                                 "b": {"latency": 2.0, "maxrss_kb": 2048}}),
+                   (True, 9.0, {"a": {"latency": 7.0}, "b": {"latency": 7.0}}),
+                   (False, 5.0, {"a": {"latency": 3.0, "maxrss_kb": 1024},
+                                 "b": {"latency": 2.0, "maxrss_kb": 1024}})]
+    ref = run.calibrate.REFERENCE_PROBE_S
+    fake.probes = [ref, 2 * ref, 3 * ref]  # the host ran at half the reference speed
+    fake.setup_walls = [0.2, 0.4, 0.3]
+    values, _ = run.end_to_end_metrics(fake)
+    assert values["wall_s"] == pytest.approx((2.0 + 2.0) / 2)
+    assert values["wall_unscaled_s"] == pytest.approx(4.0)
+    assert values["setup_s"] == pytest.approx(0.15)
+    assert values["peak_rss_mb"] == 2.0
+
+
+def test_a_pass_cut_short_checks_only_the_jobs_it_ran(dense_run):
+    partial = copy.deepcopy(dense_run)
+    results = partial.passes[0][2]
+    derham = [j["id"] for j in partial.jobs if j.get("theory") == "derham"][0]
+    del results[derham]  # its structure's five tables are no longer all there
+    assert run.job_problems(partial, None) == {}
+    assert run.failures(partial, {}) == 0
+    assert sum(len(res) for _, _, res in partial.passes) == len(partial.jobs) - 1

@@ -27,14 +27,19 @@ CONDITIONS = ("kahler", "skt", "gauduchon", "astheno", "pluriclosed:2", "ftpair"
 # matrix tiny, so a whole pass takes a second or two.
 SIZES = {
     "full": {
-        "sparse_n": 5,
+        # A pass is kept to a few seconds so that a run holds several passes
+        # and every job's latency is a median over them.  At n = 5 the de Rham
+        # table alone takes 12-15 s, so all five theories run at n = 4 and
+        # the n = 5 structures get the Hodge theories named here.
+        "sparse_hodge_n": 5,
+        "sparse_hodge_theories": ("bc", "aeppli"),
+        "sparse_all_n": 4,
         "dense_hodge_n": 5,
+        "dense_hodge_theories": ("bc",),
         "dense_all_n": 4,
-        # Shapes keep the median job (rank 96x104, about 1.3 s) well apart
-        # from its neighbours, so job_p50_s does not flip between two jobs.
         "rank_shapes": ((64, 72), (96, 104)),
-        "kernel_shapes": ((40, 48), (48, 56)),
-        "battery_per_n": 9,
+        "kernel_shapes": ((32, 40),),
+        "battery_per_n": 5,
         "battery_ns": (2, 3, 4, 5),
         # At n = 7 one high wedge power of a dense metric costs about 2 s, so
         # the large draws skip gauduchon and pluriclosed:2 (obstruct already
@@ -43,8 +48,11 @@ SIZES = {
         "battery_table_max_n": 4,
     },
     "smoke": {
-        "sparse_n": 3,
+        "sparse_hodge_n": 3,
+        "sparse_hodge_theories": ("bc", "aeppli"),
+        "sparse_all_n": 2,
         "dense_hodge_n": 3,
+        "dense_hodge_theories": ("bc",),
         "dense_all_n": 2,
         "rank_shapes": ((6, 8),),
         "kernel_shapes": ((5, 7),),
@@ -93,14 +101,19 @@ def _core_pairs(core):
 
 
 def sparse_structure(rng, n, name):
-    """One non-closed generator a_n over a closed core a_1..a_{n-1}, with
-    1-3 bracket terms on distinct monomials (so terms never cancel).
+    """One non-closed generator over a closed core a_1..a_{n-1}:
+    ``d a_n = c1 a_s ^ a_t + c2 a_u ^ ~a_v`` with s, t, u, v a random
+    arrangement of core indices (distinct while the core allows; at n = 2
+    there is no a_s ^ a_t term) and c1, c2 nonzero Gaussian integers.
 
-    Keeping a single non-closed generator keeps the rank profile, and so
-    the cost, nearly the same from seed to seed."""
-    holo, mixed = _core_pairs(n - 1)
-    chosen = rng.sample(holo + mixed, rng.randint(1, 3))
-    terms = [nonzero_gauss(rng, 2) + pair for pair in chosen]
+    Every draw is the same structure up to relabelling the core and
+    rescaling, so its rank profile, and with it the cost, stays the same
+    from seed to seed; only the order of the basis and the coefficients
+    change."""
+    core = rng.sample(range(1, n), n - 1)
+    s, t, u, v = (core[i % len(core)] for i in range(4))
+    terms = [nonzero_gauss(rng, 2) + ("a%d" % s, "a%d" % t)] if s != t else []
+    terms.append(nonzero_gauss(rng, 2) + ("a%d" % u, "~a%d" % v))
     return structure_text(name, n, {n: terms})
 
 
@@ -112,26 +125,13 @@ def dense_exnilp(rng, n, name):
     return structure_text(name, n, {n: terms})
 
 
-def two_step(rng, n, name, density=0.4, span=2):
-    """The draw of ``tests/generators.random_two_step``, as file text."""
-    core = rng.randint(1, n)
-    holo, mixed = _core_pairs(core)
-    diffs = {}
-    for t in range(core + 1, n + 1):
-        terms = []
-        for pair in holo + mixed:
-            if rng.random() < density:
-                re, im = rng.randint(-span, span), rng.randint(-span, span)
-                if re or im:
-                    terms.append((re, im) + pair)
-        diffs[t] = terms
-    return structure_text(name, n, diffs)
-
-
 def fixed_two_step(rng, n, name, core=3, terms=3):
     """Closed core a_1..a_core; every other generator gets exactly
-    ``terms`` bracket terms on distinct monomials of the core.  The fixed
-    term count keeps the cost of the large draws steady across seeds."""
+    ``terms`` bracket terms on distinct monomials of the core, with
+    nonzero coefficients.  Fixing the core size and the term count, which
+    ``tests/generators.random_two_step`` draws, keeps the cost of a draw
+    nearly the same from seed to seed; which monomials and coefficients a
+    draw gets stays random."""
     holo, mixed = _core_pairs(core)
     diffs = {
         t: [nonzero_gauss(rng, 2) + pair for pair in rng.sample(holo + mixed, terms)]
@@ -250,19 +250,24 @@ def _matrix_jobs(rng, work, size):
     return jobs
 
 
+def _tables(rng, work, size, kind, prefix, make):
+    """Table jobs on one structure at ``<kind>_hodge_n`` and one, with all
+    five theories, at ``<kind>_all_n``."""
+    jobs = []
+    for n, theories in ((size[kind + "_hodge_n"], size[kind + "_hodge_theories"]),
+                        (size[kind + "_all_n"], THEORIES)):
+        name = "%s%d" % (prefix, n)
+        path = _write(work / (name + ".nc"), make(rng, n, name))
+        jobs += [_table_job("%s-%s" % (name, t), path, t, name, n) for t in theories]
+    return jobs
+
+
 def sparse_tables(rng, work, size):
-    n = size["sparse_n"]
-    path = _write(work / "sparse.nc", sparse_structure(rng, n, "sparse"))
-    return [_table_job("sparse-%s" % t, path, t, "sparse", n) for t in THEORIES]
+    return _tables(rng, work, size, "sparse", "sparse", sparse_structure)
 
 
 def dense_fill(rng, work, size):
-    jobs = []
-    for n, theories in ((size["dense_hodge_n"], THEORIES[:4]), (size["dense_all_n"], THEORIES)):
-        name = "exnilp%d" % n
-        path = _write(work / (name + ".nc"), dense_exnilp(rng, n, name))
-        jobs += [_table_job("%s-%s" % (name, t), path, t, name, n) for t in theories]
-    return jobs + _matrix_jobs(rng, work, size)
+    return _tables(rng, work, size, "dense", "exnilp", dense_exnilp) + _matrix_jobs(rng, work, size)
 
 
 def battery(rng, work, size):
@@ -271,7 +276,16 @@ def battery(rng, work, size):
     for idx, n in enumerate(ns + list(size["battery_big"])):
         name = "draw%d" % idx
         big = idx >= len(ns)
-        spath = _write(work / (name + ".nc"), (fixed_two_step if big else two_step)(rng, n, name))
+        if big:
+            text = fixed_two_step(rng, n, name)
+        else:
+            # The draws at one n take core sizes 1, 2, ..., n in turn, and
+            # each non-closed generator as many terms as random_two_step's
+            # density of 0.4 gives on average.
+            core = 1 + idx % size["battery_per_n"] % n
+            monomials = core * (core - 1) // 2 + core * core
+            text = fixed_two_step(rng, n, name, core, max(1, round(0.4 * monomials)))
+        spath = _write(work / (name + ".nc"), text)
         hpath = _write(work / (name + "-H.json"), json.dumps(dense_metric(rng, n)))
         common = {"group": name, "n": n, "kind": "cli"}
         if not big:
