@@ -218,5 +218,6 @@ def natural_map_rank(spec: AlgebraSpec, p: int, q: int) -> int:
     kernel_dim = intersection_dim - rank(
         operator_matrix(spec, "deldelbar", p - 1, q - 1)
     )
-    assert kernel_dim >= 0
+    if kernel_dim < 0:
+        raise ArithmeticError("natural map kernel has negative dimension")
     return h_bc - kernel_dim

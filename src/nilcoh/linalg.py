@@ -1,13 +1,15 @@
 """Exact linear algebra over Q(i) for basis-indexed operator matrices.
 
-Ranks are computed by fraction-free (Bareiss) elimination over the Gaussian
-integers after clearing row denominators — row scaling changes neither rank
-nor kernel, and the fraction-free update keeps intermediate entries as
-minors of the cleared matrix instead of letting numerators and denominators
-grow through repeated gcd reduction.  Kernels use reduced row echelon form
-over Q(i) directly, so kernel vectors come out normalized (first nonzero
-coordinate 1).  ``benchmarks/bench_rank.py`` records the timing comparison
-between the two elimination styles.
+One fraction-free echelon routine does all the elimination.  It clears
+each row's denominators, which changes neither rank nor kernel, and runs
+Bareiss elimination over the Gaussian integers: every intermediate entry
+stays a minor of the cleared matrix, so numerators and denominators do not
+grow through repeated gcd reduction.  A forward pass gives ``rank``,
+``greedy_complement`` and the determinants behind
+``MetricForm.leading_minors``.  The fraction-free Gauss-Jordan extension
+gives the reduced row echelon form, which is unique: ``kernel_basis``
+reads normalized kernel vectors (first nonzero coordinate 1) off it and
+``span_basis`` returns its nonzero rows.
 """
 
 from __future__ import annotations
@@ -78,13 +80,6 @@ class IndexedMatrix:
     def column(self, j):
         return tuple(self.entries[i][j] for i in range(self.nrows))
 
-    def conjugate_transpose(self):
-        entries = [
-            [self.entries[i][j].conjugate() for i in range(self.nrows)]
-            for j in range(self.ncols)
-        ]
-        return IndexedMatrix(self.cols, self.rows, entries)
-
     def __matmul__(self, other):
         if not isinstance(other, IndexedMatrix):
             return NotImplemented
@@ -140,22 +135,28 @@ def hstack(left: IndexedMatrix, right: IndexedMatrix) -> IndexedMatrix:
 
 
 # ---------------------------------------------------------------------------
-# fraction-free rank
+# fraction-free echelon form
 
 
-def _cleared_int_rows(m: IndexedMatrix):
+def _denominator(row):
+    """The lcm of the denominators of a row's entries."""
+    denom = 1
+    for z in row:
+        denom = math.lcm(denom, z.re.denominator, z.im.denominator)
+    return denom
+
+
+def _cleared_int_rows(rows):
     """Rows as (re, im) integer pairs after scaling each row by the lcm of
     its denominators (rank- and kernel-preserving)."""
     out = []
-    for row in m.entries:
-        denom = 1
-        for z in row:
-            denom = math.lcm(denom, z.re.denominator, z.im.denominator)
+    for row in rows:
+        denom = _denominator(row)
         out.append(
             [
                 (
-                    int(z.re.numerator * (denom // z.re.denominator)),
-                    int(z.im.numerator * (denom // z.im.denominator)),
+                    z.re.numerator * (denom // z.re.denominator),
+                    z.im.numerator * (denom // z.im.denominator),
                 )
                 for z in row
             ]
@@ -178,13 +179,42 @@ def _gi_div_exact(a, b):
     return (qr, qi)
 
 
-def rank(m: IndexedMatrix) -> int:
-    """Exact rank by fraction-free elimination with first-nonzero pivoting."""
-    rows = _cleared_int_rows(m)
-    nr, nc = len(rows), m.ncols
+def _gi_ratio(a, b) -> GaussianRational:
+    """The Gaussian rational a / b of two Gaussian integers (b nonzero)."""
+    if a == (0, 0):
+        return _GR_ZERO
+    d = b[0] * b[0] + b[1] * b[1]
+    return GaussianRational(
+        Fraction(a[0] * b[0] + a[1] * b[1], d),
+        Fraction(a[1] * b[0] - a[0] * b[1], d),
+    )
+
+
+def _echelon(rows, ncols, reduced):
+    """Fraction-free elimination of Q(i) rows over Z[i], first-nonzero
+    pivoting.
+
+    Returns ``(pivots, rows, last, sign)``: the pivot columns, the
+    eliminated Gaussian-integer rows (row k holds pivot k), the last pivot
+    and the sign of the row permutation.  Each row is first cleared of its
+    denominators.  Every entry then stays a minor of the cleared matrix
+    (Sylvester's identity), so each division by the previous pivot is
+    exact.  The forward pass gives an echelon form whose last pivot is,
+    for a square nonsingular matrix, ``sign`` times its determinant.  With
+    ``reduced`` the rows above each pivot are eliminated as well
+    (fraction-free Gauss-Jordan): every pivot entry ends equal to
+    ``last``, and row k divided by ``last`` is row k of the reduced row
+    echelon form.
+    """
+    rows = _cleared_int_rows(rows)
+    nr = len(rows)
+    pivots = []
     prev = (1, 0)
+    sign = 1
     r = 0
-    for c in range(nc):
+    for c in range(ncols):
+        if r == nr:
+            break
         pivot = None
         for i in range(r, nr):
             if rows[i][c] != (0, 0):
@@ -192,69 +222,44 @@ def rank(m: IndexedMatrix) -> int:
                 break
         if pivot is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        p = rows[r][c]
-        for i in range(r + 1, nr):
-            fac = rows[i][c]
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            sign = -sign
+        prow = rows[r]
+        p = prow[c]
+        for i in range(0 if reduced else r + 1, nr):
+            if i == r:
+                continue
+            row = rows[i]
+            if i < r:
+                # the pivot row is zero left of c: those entries only rescale
+                for j in range(pivots[i], c):
+                    if row[j] != (0, 0):
+                        row[j] = _gi_div_exact(_gi_mul(p, row[j]), prev)
+            fac = row[c]
             if fac == (0, 0):
                 # still rescale so the Bareiss divisibility invariant holds
-                for j in range(c + 1, nc):
-                    rows[i][j] = _gi_div_exact(_gi_mul(p, rows[i][j]), prev)
+                for j in range(c + 1, ncols):
+                    row[j] = _gi_div_exact(_gi_mul(p, row[j]), prev)
             else:
-                for j in range(c + 1, nc):
+                for j in range(c + 1, ncols):
                     num = (
-                        p[0] * rows[i][j][0] - p[1] * rows[i][j][1]
-                        - fac[0] * rows[r][j][0] + fac[1] * rows[r][j][1],
-                        p[0] * rows[i][j][1] + p[1] * rows[i][j][0]
-                        - fac[0] * rows[r][j][1] - fac[1] * rows[r][j][0],
+                        p[0] * row[j][0] - p[1] * row[j][1]
+                        - fac[0] * prow[j][0] + fac[1] * prow[j][1],
+                        p[0] * row[j][1] + p[1] * row[j][0]
+                        - fac[0] * prow[j][1] - fac[1] * prow[j][0],
                     )
-                    rows[i][j] = _gi_div_exact(num, prev)
-                rows[i][c] = (0, 0)
+                    row[j] = _gi_div_exact(num, prev)
+                row[c] = (0, 0)
+        pivots.append(c)
         prev = p
         r += 1
-        if r == nr:
-            break
-    return r
+    return pivots, rows, prev, sign
 
 
-# ---------------------------------------------------------------------------
-# reduced row echelon over Q(i)
-
-
-def _rref(rows):
-    """In-place RREF; returns the pivot column indices."""
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
-    pivots = []
-    r = 0
-    for c in range(nc):
-        pivot = None
-        for i in range(r, nr):
-            if rows[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nr):
-            if i != r and rows[i][c]:
-                fac = rows[i][c]
-                rows[i] = [
-                    rows[i][j] - fac * rows[r][j] for j in range(nc)
-                ]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return pivots
-
-
-def rank_rref(m: IndexedMatrix) -> int:
-    """Rank by plain Q(i) row reduction (cross-check / benchmark route)."""
-    rows = [list(r) for r in m.entries]
-    return len(_rref(rows))
+def rank(m: IndexedMatrix) -> int:
+    """Exact rank: the number of pivots of a forward pass."""
+    return len(_echelon(m.entries, m.ncols, False)[0])
 
 
 def kernel_basis(m: IndexedMatrix):
@@ -264,70 +269,40 @@ def kernel_basis(m: IndexedMatrix):
     ordered by free column index (deterministic).
     """
     nc = m.ncols
-    if nc == 0:
-        return []
-    rows = [list(r) for r in m.entries]
-    pivots = _rref(rows)
+    pivots, rows, last, _ = _echelon(m.entries, nc, True)
     pivot_set = set(pivots)
     basis = []
     for f in range(nc):
         if f in pivot_set:
             continue
-        vec = [_GR_ZERO] * nc
-        vec[f] = GaussianRational(1)
+        vec = [(0, 0)] * nc
+        vec[f] = last
         for k, p in enumerate(pivots):
-            if rows[k][f]:
-                vec[p] = -rows[k][f]
-        lead = next(x for x in vec if x)
-        if lead != GaussianRational(1):
-            inv = 1 / lead
-            vec = [x * inv for x in vec]
-        basis.append(tuple(vec))
+            x = rows[k][f]
+            vec[p] = (-x[0], -x[1])
+        lead = next(x for x in vec if x != (0, 0))
+        basis.append(tuple(_gi_ratio(x, lead) for x in vec))
     return basis
 
 
 def span_basis(vectors):
     """Reduced (RREF-row) basis of the span of the given vectors."""
-    vecs = [list(v) for v in vectors if any(v)]
+    vecs = [v for v in vectors if any(v)]
     if not vecs:
         return []
-    _rref(vecs)
-    return [tuple(v) for v in vecs if any(v)]
+    pivots, rows, last, _ = _echelon(vecs, len(vecs[0]), True)
+    return [tuple(_gi_ratio(x, last) for x in rows[k]) for k in range(len(pivots))]
 
 
 def greedy_complement(base_columns, candidates):
     """Indices of candidate vectors that enlarge span(base_columns),
     scanned in order — the classes of the chosen candidates form a basis
     of span(base + candidates) / span(base)."""
-    working = []  # reduced rows so far
-    pivots = []  # pivot position per working row
-
-    def try_add(vec):
-        vec = list(vec)
-        for row, p in zip(working, pivots):
-            if vec[p]:
-                fac = vec[p]
-                for j in range(len(vec)):
-                    vec[j] = vec[j] - fac * row[j]
-        lead = None
-        for j, x in enumerate(vec):
-            if x:
-                lead = j
-                break
-        if lead is None:
-            return False
-        inv = 1 / vec[lead]
-        working.append([x * inv for x in vec])
-        pivots.append(lead)
-        return True
-
-    for col in base_columns:
-        try_add(col)
-    chosen = []
-    for idx, cand in enumerate(candidates):
-        if try_add(cand):
-            chosen.append(idx)
-    return chosen
+    base_columns = list(base_columns)
+    nb = len(base_columns)
+    columns = base_columns + list(candidates)
+    pivots = _echelon(list(zip(*columns)), len(columns), False)[0]
+    return [c - nb for c in pivots if c >= nb]
 
 
 def subquotient_dim(kernel_of: IndexedMatrix, images) -> int:
@@ -354,5 +329,6 @@ def subquotient_dim(kernel_of: IndexedMatrix, images) -> int:
     for img in images[1:]:
         joined = hstack(joined, img)
     out = kdim - rank(joined)
-    assert out >= 0, "containment held but dimension went negative"
+    if out < 0:
+        raise ArithmeticError("containment held but dimension went negative")
     return out

@@ -36,9 +36,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .algebra import AlgebraSpec, d, deldelbar
 from .forms import BasisForm, Form
+from .linalg import _denominator, _echelon
 from .scalars import GaussianRational
 
 _CONDITIONS = ("kahler", "gauduchon", "skt", "astheno", "ft_pair")
@@ -98,13 +100,21 @@ class MetricForm:
         return powers[k]
 
     def leading_minors(self):
-        """Leading principal minor determinants (exact, real rationals)."""
+        """Leading principal minor determinants (exact, real rationals).
+
+        A forward fraction-free pass over each leading block of row-cleared
+        entries ends on its determinant up to the row-swap sign; dividing by
+        the row scale factors gives the minor of H itself."""
         minors = []
         for k in range(1, self.n + 1):
-            det = _determinant([row[:k] for row in self.H[:k]])
-            if det.im:
+            block = [row[:k] for row in self.H[:k]]
+            pivots, _, last, sign = _echelon(block, k, False)
+            if len(pivots) < k:
+                minors.append(Fraction(0))
+                continue
+            if last[1]:
                 raise AssertionError("Hermitian minor with nonzero imaginary part")
-            minors.append(det.re)
+            minors.append(Fraction(sign * last[0], prod(map(_denominator, block))))
         return minors
 
     def is_positive(self) -> bool:
@@ -117,31 +127,6 @@ class MetricForm:
 
     def __repr__(self):
         return "MetricForm(n=%d)" % self.n
-
-
-def _determinant(rows) -> GaussianRational:
-    """Exact determinant by fraction elimination with row pivoting."""
-    rows = [list(r) for r in rows]
-    m = len(rows)
-    det = GaussianRational(1)
-    for c in range(m):
-        pivot = None
-        for i in range(c, m):
-            if rows[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            return GaussianRational(0)
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            det = -det
-        det = det * rows[c][c]
-        inv = 1 / rows[c][c]
-        for i in range(c + 1, m):
-            if rows[i][c]:
-                fac = rows[i][c] * inv
-                rows[i] = [rows[i][j] - fac * rows[c][j] for j in range(m)]
-    return det
 
 
 def build_metric(n: int, H) -> MetricForm:

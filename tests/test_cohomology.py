@@ -175,3 +175,13 @@ def test_natural_map_rank_values():
     assert r <= hodge_number(iw, "aeppli", 0, 1)
     # at top bidegree both are one-dimensional and the map is nonzero
     assert natural_map_rank(iw, 3, 3) == 1
+
+
+def test_natural_map_rank_raises_on_negative_kernel(monkeypatch):
+    # an overcounting rank drives the kernel dimension below zero
+    import nilcoh.cohomology
+
+    true_rank = nilcoh.cohomology.rank
+    monkeypatch.setattr(nilcoh.cohomology, "rank", lambda m: true_rank(m) + 1)
+    with pytest.raises(ArithmeticError):
+        natural_map_rank(torus_spec(2), 1, 1)

@@ -6,17 +6,19 @@ from fractions import Fraction
 import pytest
 import sympy
 
+import nilcoh.linalg
 from nilcoh.linalg import (
     ContainmentError,
     IndexedMatrix,
+    greedy_complement,
     hstack,
     kernel_basis,
     rank,
-    rank_rref,
     span_basis,
     subquotient_dim,
     vstack,
 )
+from nilcoh.metrics import MetricForm
 from nilcoh.scalars import GaussianRational
 
 from oracle import scalar_to_sympy
@@ -66,7 +68,7 @@ def test_rank_small_complex():
     i = gr(0, 1)
     m = mat([[gr(1), i], [i, gr(-1)]])
     assert rank(m) == 1
-    assert rank_rref(m) == 1
+    assert to_sympy(m).rank() == 1
 
 
 def test_kernel_normalized():
@@ -87,7 +89,6 @@ def test_rank_matches_sympy_on_random_matrices():
         m = rand_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
         expected = to_sympy(m).rank()
         assert rank(m) == expected
-        assert rank_rref(m) == expected
 
 
 def test_kernel_matches_sympy_nullity_and_annihilates():
@@ -163,7 +164,112 @@ def test_fraction_free_and_rref_agree_on_awkward_pivots():
             [gr(0), gr(0), gr(0)],
         ]
     )
-    assert rank(m) == rank_rref(m) == 2
+    assert rank(m) == to_sympy(m).rank() == 2
     vecs = kernel_basis(m)
     assert len(vecs) == 1
     assert vecs[0][0] == gr(1)  # e1 direction is free, normalized leading 1
+
+
+def test_subquotient_dim_raises_when_dimension_goes_negative(monkeypatch):
+    # an overcounting rank drives the subquotient dimension below zero
+    true_rank = nilcoh.linalg.rank
+    monkeypatch.setattr(nilcoh.linalg, "rank", lambda m: true_rank(m) + 1)
+    z = mat([[gr(0), gr(0)]], row_labels=["t"], col_labels=["e1", "e2"])
+    img = mat([[gr(1)], [gr(0)]], row_labels=["e1", "e2"], col_labels=["s"])
+    with pytest.raises(ArithmeticError):
+        subquotient_dim(z, [img])
+
+
+# ---------------------------------------------------------------------------
+# exact outputs of every elimination view against sympy
+
+
+def _expand_is_zero(x):
+    return sympy.expand(x) == 0
+
+
+def sympy_rref(m: IndexedMatrix):
+    return to_sympy(m).rref(iszerofunc=_expand_is_zero, simplify=sympy.expand)
+
+
+def from_sympy(x):
+    re, im = sympy.expand(x).as_real_imag()
+    return gr(Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q)))
+
+
+def oracle_matrices():
+    """Random matrices with mixed denominators, a zero column and a
+    dependent row, then one dense Gaussian-integer matrix."""
+    rng = random.Random(67)
+    for _ in range(25):
+        m = rand_matrix(
+            rng, rng.randint(1, 5), rng.randint(1, 6), rng.choice([0.3, 0.6, 0.9])
+        )
+        rows = [list(r) for r in m.entries]
+        zero = rng.randrange(m.ncols)
+        for row in rows:
+            row[zero] = gr(0)
+        if len(rows) >= 2:
+            fac = gr(Fraction(rng.randint(-3, 3), 2), rng.randint(-2, 2))
+            rows[-1] = [a + fac * b for a, b in zip(rows[0], rows[1])]
+        yield mat(rows)
+    yield mat(
+        [[gr(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(8)] for _ in range(6)]
+    )
+
+
+def test_kernel_basis_vectors_equal_sympy_nullspace():
+    for m in oracle_matrices():
+        expected = []
+        for v in to_sympy(m).nullspace(
+            iszerofunc=_expand_is_zero, simplify=sympy.expand
+        ):
+            vec = [from_sympy(x) for x in v]
+            lead = next(x for x in vec if x)
+            expected.append(tuple(x / lead for x in vec))
+        assert kernel_basis(m) == expected
+
+
+def test_span_basis_equals_sympy_rref_rows():
+    for m in oracle_matrices():
+        reduced, pivots = sympy_rref(m)
+        expected = [
+            tuple(from_sympy(reduced[k, j]) for j in range(m.ncols))
+            for k in range(len(pivots))
+        ]
+        assert span_basis(list(m.entries)) == expected
+
+
+def test_greedy_complement_equals_sympy_rref_pivots():
+    rng = random.Random(71)
+    for m in oracle_matrices():
+        _, pivots = sympy_rref(m)
+        columns = [m.column(j) for j in range(m.ncols)]
+        for nb in {0, rng.randint(0, m.ncols), m.ncols}:
+            expected = [p - nb for p in pivots if p >= nb]
+            assert greedy_complement(columns[:nb], columns[nb:]) == expected
+
+
+def test_leading_minors_equal_sympy_determinants():
+    for m in oracle_matrices():
+        k = min(m.nrows, m.ncols)
+        square = [row[:k] for row in m.entries[:k]]
+        indefinite = [
+            [square[i][j] + square[j][i].conjugate() for j in range(k)]
+            for i in range(k)
+        ]
+        # A A^H has rank at most ncols, so its trailing minors vanish
+        gram = [
+            [
+                sum((a * b.conjugate() for a, b in zip(ri, rj)), gr(0))
+                for rj in m.entries
+            ]
+            for ri in m.entries
+        ]
+        for h in (indefinite, gram):
+            metric = MetricForm(h)
+            expected = [
+                from_sympy(to_sympy(mat([row[:j] for row in h[:j]])).det())
+                for j in range(1, len(h) + 1)
+            ]
+            assert [gr(x) for x in metric.leading_minors()] == expected
