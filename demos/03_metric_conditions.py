@@ -43,7 +43,7 @@ print("astheno witness: del delbar omega =", result.witness)
 
 # pluriclosed:k interpolates, counting down from the top power:
 # del delbar omega^(n-k) = 0.  So pluriclosed:1 is gauduchon,
-# pluriclosed:2 is astheno, and k >= n is trivially true.
+# pluriclosed:2 is astheno, and k = n is trivially true.
 print("pluriclosed:1 (= gauduchon):",
       check_condition(iwasawa, metric, "pluriclosed:1").holds)
 print("pluriclosed:2 (= astheno)  :",

@@ -48,19 +48,33 @@ def _load_spec(path: str):
     return read_structure_file(path)
 
 
+def _read_hmatrix(path: str):
+    """The rows of H from a JSON file {"H": [[{"re": .., "im": ..}, ...], ...]};
+    a malformed file raises ValueError naming the offending place."""
+    with open(path, "r", encoding="ascii") as fh:
+        payload = json.load(fh)
+    rows = payload.get("H") if isinstance(payload, dict) else None
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError('%s: expected {"H": [[{"re": .., "im": ..}, ...], ...]}' % path)
+    H = []
+    for i, row in enumerate(rows):
+        H.append([])
+        for j, cell in enumerate(row):
+            try:
+                H[-1].append(
+                    GaussianRational(Fraction(cell["re"]), Fraction(cell.get("im", "0")))
+                )
+            except (KeyError, TypeError, ValueError, ZeroDivisionError):
+                raise ValueError(
+                    '%s: H[%d][%d] is not a scalar {"re": p/q, "im": p/q}: %s'
+                    % (path, i, j, json.dumps(cell))
+                ) from None
+    return H
+
+
 def _metric_from_args(args, n: int) -> MetricForm:
     if getattr(args, "hmatrix", None):
-        with open(args.hmatrix, "r", encoding="ascii") as fh:
-            payload = json.load(fh)
-        rows = payload["H"]
-        H = [
-            [
-                GaussianRational(Fraction(cell["re"]), Fraction(cell.get("im", "0")))
-                for cell in row
-            ]
-            for row in rows
-        ]
-        return build_metric(n, H)
+        return build_metric(n, _read_hmatrix(args.hmatrix))
     if getattr(args, "diag", None):
         entries = [parse_scalar(part) for part in args.diag.split(",")]
         values = []

@@ -26,14 +26,13 @@ from .algebra import AlgebraSpec, d, del_, delbar, deldelbar, validate
 from .forms import BasisForm, Form
 from .linalg import (
     IndexedMatrix,
+    check_containment,
     greedy_complement,
     hstack,
     kernel_basis,
     rank,
-    subquotient_dim,
     vstack,
 )
-from .scalars import GaussianRational
 
 THEORIES = ("dolbeault", "conj_dolbeault", "bott_chern", "aeppli")
 
@@ -69,11 +68,11 @@ def degree_basis(n: int, k: int):
 
 def _matrix_from_images(domain, codomain, images):
     index = {bf: i for i, bf in enumerate(codomain)}
-    entries = [[GaussianRational(0)] * len(domain) for _ in codomain]
+    nonzeros = [[] for _ in codomain]
     for j, img in enumerate(images):
         for bf, c in img.terms():
-            entries[index[bf]][j] = c
-    return IndexedMatrix(codomain, domain, entries)
+            nonzeros[index[bf]].append((j, c))
+    return IndexedMatrix.from_nonzeros(codomain, domain, nonzeros)
 
 
 def operator_matrix(spec: AlgebraSpec, op: str, p: int, q: int) -> IndexedMatrix:
@@ -116,35 +115,72 @@ def d_matrix(spec: AlgebraSpec, k: int) -> IndexedMatrix:
     return out
 
 
-def _kernel_and_images(spec, theory, p, q):
-    """The (kernel operator, image operators) pair defining h^{p,q}."""
-    if theory == "dolbeault":
-        return operator_matrix(spec, "delbar", p, q), [
-            operator_matrix(spec, "delbar", p, q - 1)
-        ]
-    if theory == "conj_dolbeault":
-        return operator_matrix(spec, "del", p, q), [
-            operator_matrix(spec, "del", p - 1, q)
-        ]
-    if theory == "bott_chern":
-        stacked = vstack(
-            operator_matrix(spec, "del", p, q),
-            operator_matrix(spec, "delbar", p, q),
+def _operator(spec: AlgebraSpec, key) -> IndexedMatrix:
+    """The matrix of the operator named by ``key``.
+
+    Keys are ("d", k), (op, p, q) for op in del / delbar / deldelbar, and
+    two joint operators: ("del|delbar", p, q) stacks del and delbar out of
+    (p,q), so its kernel is the d-closed (p,q)-forms, and
+    ("del+delbar", p, q) puts del out of (p-1,q) beside delbar out of
+    (p,q-1), so its image is the sum of theirs in (p,q).  The joint ones
+    are assembled from the cached operators on each call: keeping them
+    would hold a second copy of every cell.
+    """
+    op = key[0]
+    if op == "d":
+        return d_matrix(spec, key[1])
+    p, q = key[1:]
+    if op == "del|delbar":
+        return vstack(
+            operator_matrix(spec, "del", p, q), operator_matrix(spec, "delbar", p, q)
         )
-        return stacked, [operator_matrix(spec, "deldelbar", p - 1, q - 1)]
-    if theory == "aeppli":
-        return operator_matrix(spec, "deldelbar", p, q), [
+    if op == "del+delbar":
+        return hstack(
             operator_matrix(spec, "del", p - 1, q),
             operator_matrix(spec, "delbar", p, q - 1),
-        ]
+        )
+    return operator_matrix(spec, op, p, q)
+
+
+def _rank(spec: AlgebraSpec, key, matrix: IndexedMatrix) -> int:
+    """rank(matrix) of the operator named by ``key``, computed once per spec."""
+    ranks = spec._caches.setdefault("ranks", {})
+    if key not in ranks:
+        ranks[key] = rank(matrix)
+    return ranks[key]
+
+
+def _subquotient(spec: AlgebraSpec, kernel_key, image_key) -> int:
+    """dim ker(kernel) - dim im(image) for two operator keys, with the
+    containment im(image) in ker(kernel) checked."""
+    kernel_of, image = _operator(spec, kernel_key), _operator(spec, image_key)
+    image_rank = 0
+    if image.ncols:
+        check_containment(kernel_of, image)
+        image_rank = _rank(spec, image_key, image)
+    out = kernel_of.ncols - _rank(spec, kernel_key, kernel_of) - image_rank
+    if out < 0:
+        raise ArithmeticError("containment held but dimension went negative")
+    return out
+
+
+def _theory_keys(theory, p, q):
+    """The (kernel, image) operator keys whose subquotient is h^{p,q}."""
+    if theory == "dolbeault":
+        return ("delbar", p, q), ("delbar", p, q - 1)
+    if theory == "conj_dolbeault":
+        return ("del", p, q), ("del", p - 1, q)
+    if theory == "bott_chern":
+        return ("del|delbar", p, q), ("deldelbar", p - 1, q - 1)
+    if theory == "aeppli":
+        return ("deldelbar", p, q), ("del+delbar", p, q)
     raise ValueError("unknown theory %r (choose from %s)" % (theory, THEORIES))
 
 
 def hodge_number(spec: AlgebraSpec, theory: str, p: int, q: int) -> int:
     if not (0 <= p <= spec.n and 0 <= q <= spec.n):
         return 0
-    kernel_of, images = _kernel_and_images(spec, theory, p, q)
-    return subquotient_dim(kernel_of, images)
+    return _subquotient(spec, *_theory_keys(theory, p, q))
 
 
 def hodge_table(spec: AlgebraSpec, theory: str) -> HodgeTable:
@@ -165,10 +201,7 @@ def hodge_table(spec: AlgebraSpec, theory: str) -> HodgeTable:
 
 def derham_betti(spec: AlgebraSpec) -> list:
     """Betti numbers b_0 .. b_{2n} of the total complex."""
-    return [
-        subquotient_dim(d_matrix(spec, k), [d_matrix(spec, k - 1)])
-        for k in range(2 * spec.n + 1)
-    ]
+    return [_subquotient(spec, ("d", k), ("d", k - 1)) for k in range(2 * spec.n + 1)]
 
 
 def class_representatives(spec: AlgebraSpec, theory: str, p: int, q: int):
@@ -180,14 +213,12 @@ def class_representatives(spec: AlgebraSpec, theory: str, p: int, q: int):
     """
     if not (0 <= p <= spec.n and 0 <= q <= spec.n):
         return []
-    kernel_of, images = _kernel_and_images(spec, theory, p, q)
+    kernel_key, image_key = _theory_keys(theory, p, q)
+    kernel_of, image = _operator(spec, kernel_key), _operator(spec, image_key)
     kernel_vectors = kernel_basis(kernel_of)
-    image_columns = []
-    for img in images:
-        for j in range(img.ncols):
-            col = img.column(j)
-            if any(col):
-                image_columns.append(col)
+    image_columns = [
+        col for col in map(image.column, range(image.ncols)) if any(col)
+    ]
     chosen = greedy_complement(image_columns, kernel_vectors)
     domain = kernel_of.cols
     return [
@@ -204,20 +235,14 @@ def natural_map_rank(spec: AlgebraSpec, p: int, q: int) -> int:
     del-image and a delbar-image, modulo del.delbar-images; its dimension
     is computed from ranks of concatenated operators."""
     h_bc = hodge_number(spec, "bott_chern", p, q)
-    closed = vstack(
-        operator_matrix(spec, "del", p, q),
-        operator_matrix(spec, "delbar", p, q),
-    )
-    image = hstack(
-        operator_matrix(spec, "del", p - 1, q),
-        operator_matrix(spec, "delbar", p, q - 1),
-    )
+    image_key = ("del+delbar", p, q)
+    image = _operator(spec, image_key)
     if image.ncols == 0:
         return h_bc
-    intersection_dim = rank(image) - rank(closed @ image)
-    kernel_dim = intersection_dim - rank(
-        operator_matrix(spec, "deldelbar", p - 1, q - 1)
-    )
+    closed = _operator(spec, ("del|delbar", p, q))
+    exact_key = ("deldelbar", p - 1, q - 1)
+    intersection_dim = _rank(spec, image_key, image) - rank(closed @ image)
+    kernel_dim = intersection_dim - _rank(spec, exact_key, _operator(spec, exact_key))
     if kernel_dim < 0:
         raise ArithmeticError("natural map kernel has negative dimension")
     return h_bc - kernel_dim

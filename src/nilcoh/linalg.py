@@ -1,10 +1,19 @@
 """Exact linear algebra over Q(i) for basis-indexed operator matrices.
 
+The operator matrices of a nilmanifold's complex are well under 1%
+nonzero, so the work is done on nonzero entries only.  Each
+:class:`IndexedMatrix` keeps, next to its dense ``entries``, the nonzero
+(column, value) pairs of every row; builders that know them pass them in,
+and otherwise they are found once.  The product multiplies nonzero by
+nonzero.
+
 One fraction-free echelon routine does all the elimination.  It clears
-each row's denominators, which changes neither rank nor kernel, and runs
-Bareiss elimination over the Gaussian integers: every intermediate entry
-stays a minor of the cleared matrix, so numerators and denominators do not
-grow through repeated gcd reduction.  A forward pass gives ``rank``,
+each row's denominators, which changes neither rank nor kernel, keeps
+every row as a dict from column to Gaussian integer holding its nonzeros,
+and runs Bareiss elimination over the Gaussian integers: every
+intermediate entry stays a minor of the cleared matrix, so numerators and
+denominators do not grow through repeated gcd reduction, and a step costs
+the nonzeros of the rows it touches.  A forward pass gives ``rank``,
 ``greedy_complement`` and the determinants behind
 ``MetricForm.leading_minors``.  The fraction-free Gauss-Jordan extension
 gives the reduced row echelon form, which is unique: ``kernel_basis``
@@ -16,6 +25,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
 
 from .scalars import GaussianRational
 
@@ -37,13 +47,14 @@ class ContainmentError(Exception):
 
 
 class IndexedMatrix:
-    """A dense matrix whose rows and columns are labelled by basis data.
+    """A matrix whose rows and columns are labelled by basis data.
 
     ``entries[i][j]`` is the coefficient of row label ``rows[i]`` in the
-    image of column label ``cols[j]``.
+    image of column label ``cols[j]``.  :meth:`nonzeros` gives the nonzero
+    entries of each row.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_nonzeros")
 
     def __init__(self, rows, cols, entries):
         rows = tuple(rows)
@@ -56,6 +67,7 @@ class IndexedMatrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_nonzeros", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("IndexedMatrix is immutable")
@@ -77,6 +89,31 @@ class IndexedMatrix:
         ]
         return cls(rows, cols, entries)
 
+    @classmethod
+    def from_nonzeros(cls, rows, cols, nonzeros):
+        """Build from each row's (column index, value) pairs; pairs with a
+        zero value are dropped."""
+        cols = tuple(cols)
+        nonzeros = tuple(tuple((j, z) for j, z in row if z) for row in nonzeros)
+        entries = []
+        for row in nonzeros:
+            dense = [_GR_ZERO] * len(cols)
+            for j, z in row:
+                dense[j] = z
+            entries.append(dense)
+        out = cls(rows, cols, entries)
+        object.__setattr__(out, "_nonzeros", nonzeros)
+        return out
+
+    def nonzeros(self):
+        """Per row, the (column index, value) pairs of its nonzero entries,
+        in column order unless the matrix was built from them."""
+        if self._nonzeros is None:
+            object.__setattr__(
+                self, "_nonzeros", tuple(_nonzero_pairs(row) for row in self.entries)
+            )
+        return self._nonzeros
+
     def column(self, j):
         return tuple(self.entries[i][j] for i in range(self.nrows))
 
@@ -85,21 +122,15 @@ class IndexedMatrix:
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError("matrix product: inner bases do not match")
+        right = other.nonzeros()
         out = []
-        for i in range(self.nrows):
-            row = []
-            srow = self.entries[i]
-            for j in range(other.ncols):
-                acc = _GR_ZERO
-                for k in range(self.ncols):
-                    a = srow[k]
-                    if a:
-                        b = other.entries[k][j]
-                        if b:
-                            acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return IndexedMatrix(self.rows, other.cols, out)
+        for row in self.nonzeros():
+            acc = {}
+            for k, a in row:
+                for j, b in right[k]:
+                    acc[j] = acc[j] + a * b if j in acc else a * b
+            out.append(acc.items())
+        return IndexedMatrix.from_nonzeros(self.rows, other.cols, out)
 
     def __eq__(self, other):
         return (
@@ -115,12 +146,17 @@ class IndexedMatrix:
         return "IndexedMatrix(%d rows x %d cols)" % (self.nrows, self.ncols)
 
 
+def _nonzero_pairs(vector):
+    """The (index, value) pairs of a vector's nonzero entries."""
+    return tuple((j, z) for j, z in enumerate(vector) if z)
+
+
 def vstack(top: IndexedMatrix, bottom: IndexedMatrix) -> IndexedMatrix:
     """Stack two operators with the same domain (shared column labels)."""
     if top.cols != bottom.cols:
         raise ValueError("vstack: column bases differ")
-    return IndexedMatrix(
-        top.rows + bottom.rows, top.cols, top.entries + bottom.entries
+    return IndexedMatrix.from_nonzeros(
+        top.rows + bottom.rows, top.cols, top.nonzeros() + bottom.nonzeros()
     )
 
 
@@ -128,38 +164,41 @@ def hstack(left: IndexedMatrix, right: IndexedMatrix) -> IndexedMatrix:
     """Concatenate columns of two operators into the same codomain."""
     if left.rows != right.rows:
         raise ValueError("hstack: row bases differ")
-    entries = [
-        left.entries[i] + right.entries[i] for i in range(left.nrows)
+    shift = left.ncols
+    nonzeros = [
+        a + tuple((j + shift, z) for j, z in b)
+        for a, b in zip(left.nonzeros(), right.nonzeros())
     ]
-    return IndexedMatrix(left.rows, left.cols + right.cols, entries)
+    return IndexedMatrix.from_nonzeros(left.rows, left.cols + right.cols, nonzeros)
 
 
 # ---------------------------------------------------------------------------
 # fraction-free echelon form
 
 
-def _denominator(row):
-    """The lcm of the denominators of a row's entries."""
+def _denominator(values):
+    """The lcm of the denominators of some Gaussian rationals."""
     denom = 1
-    for z in row:
+    for z in values:
         denom = math.lcm(denom, z.re.denominator, z.im.denominator)
     return denom
 
 
 def _cleared_int_rows(rows):
-    """Rows as (re, im) integer pairs after scaling each row by the lcm of
-    its denominators (rank- and kernel-preserving)."""
+    """Rows given by their nonzero (column, value) pairs, as dicts column ->
+    (re, im) Gaussian integer after scaling each row by the lcm of its
+    denominators (rank- and kernel-preserving)."""
     out = []
     for row in rows:
-        denom = _denominator(row)
+        denom = _denominator(z for _, z in row)
         out.append(
-            [
-                (
+            {
+                j: (
                     z.re.numerator * (denom // z.re.denominator),
                     z.im.numerator * (denom // z.im.denominator),
                 )
-                for z in row
-            ]
+                for j, z in row
+            }
         )
     return out
 
@@ -181,8 +220,6 @@ def _gi_div_exact(a, b):
 
 def _gi_ratio(a, b) -> GaussianRational:
     """The Gaussian rational a / b of two Gaussian integers (b nonzero)."""
-    if a == (0, 0):
-        return _GR_ZERO
     d = b[0] * b[0] + b[1] * b[1]
     return GaussianRational(
         Fraction(a[0] * b[0] + a[1] * b[1], d),
@@ -190,21 +227,33 @@ def _gi_ratio(a, b) -> GaussianRational:
     )
 
 
-def _echelon(rows, ncols, reduced):
-    """Fraction-free elimination of Q(i) rows over Z[i], first-nonzero
-    pivoting.
+def _dense_quotient(row, d, ncols):
+    """The Q(i) vector row / d, for a dict row of Gaussian integers."""
+    out = [_GR_ZERO] * ncols
+    for j, x in row.items():
+        out[j] = _gi_ratio(x, d)
+    return tuple(out)
 
-    Returns ``(pivots, rows, last, sign)``: the pivot columns, the
-    eliminated Gaussian-integer rows (row k holds pivot k), the last pivot
-    and the sign of the row permutation.  Each row is first cleared of its
-    denominators.  Every entry then stays a minor of the cleared matrix
-    (Sylvester's identity), so each division by the previous pivot is
-    exact.  The forward pass gives an echelon form whose last pivot is,
-    for a square nonsingular matrix, ``sign`` times its determinant.  With
-    ``reduced`` the rows above each pivot are eliminated as well
-    (fraction-free Gauss-Jordan): every pivot entry ends equal to
-    ``last``, and row k divided by ``last`` is row k of the reduced row
-    echelon form.
+
+def _echelon(rows, ncols, reduced):
+    """Fraction-free elimination of sparse Q(i) rows over Z[i],
+    first-nonzero pivoting.
+
+    ``rows`` gives each row by its nonzero (column, value) pairs.  Returns
+    ``(pivots, rows, last, sign)``: the pivot columns, the eliminated
+    Gaussian-integer rows as dicts column -> (re, im) of their nonzeros
+    (row k holds pivot k), the last pivot and the sign of the row
+    permutation.  Each row is first cleared of its denominators.  The step
+    with pivot p in column c, after previous pivot ``prev``, replaces each
+    row it reaches by (p * row - row[c] * pivot row) / prev.  Every entry
+    then stays a minor of the cleared matrix (Sylvester's identity), so the
+    division is exact; a row with no entry in column c is only rescaled by
+    p / prev, on its nonzeros, and not at all when p == prev.  The forward
+    pass gives an echelon form whose last pivot is, for a square
+    nonsingular matrix, ``sign`` times its determinant.  With ``reduced``
+    the rows above each pivot are eliminated as well (fraction-free
+    Gauss-Jordan): every pivot entry ends equal to ``last``, and row k
+    divided by ``last`` is row k of the reduced row echelon form.
     """
     rows = _cleared_int_rows(rows)
     nr = len(rows)
@@ -215,42 +264,49 @@ def _echelon(rows, ncols, reduced):
     for c in range(ncols):
         if r == nr:
             break
-        pivot = None
         for i in range(r, nr):
-            if rows[i][c] != (0, 0):
-                pivot = i
+            if c in rows[i]:
                 break
-        if pivot is None:
+        else:
             continue
-        if pivot != r:
-            rows[r], rows[pivot] = rows[pivot], rows[r]
+        if i != r:
+            rows[r], rows[i] = rows[i], rows[r]
             sign = -sign
         prow = rows[r]
         p = prow[c]
+        pr, pi = p
+        qr, qi = prev
+        qn = qr * qr + qi * qi
+        tail = [(j, x) for j, x in prow.items() if j != c]
         for i in range(0 if reduced else r + 1, nr):
             if i == r:
                 continue
             row = rows[i]
-            if i < r:
-                # the pivot row is zero left of c: those entries only rescale
-                for j in range(pivots[i], c):
-                    if row[j] != (0, 0):
-                        row[j] = _gi_div_exact(_gi_mul(p, row[j]), prev)
-            fac = row[c]
-            if fac == (0, 0):
-                # still rescale so the Bareiss divisibility invariant holds
-                for j in range(c + 1, ncols):
+            fac = row.pop(c, None)
+            if p != prev:
+                # entries the pivot row leaves untouched are only rescaled
+                for j in row.keys() if fac is None else row.keys() - prow.keys():
                     row[j] = _gi_div_exact(_gi_mul(p, row[j]), prev)
-            else:
-                for j in range(c + 1, ncols):
-                    num = (
-                        p[0] * row[j][0] - p[1] * row[j][1]
-                        - fac[0] * prow[j][0] + fac[1] * prow[j][1],
-                        p[0] * row[j][1] + p[1] * row[j][0]
-                        - fac[0] * prow[j][1] - fac[1] * prow[j][0],
-                    )
-                    row[j] = _gi_div_exact(num, prev)
-                row[c] = (0, 0)
+            if fac is None:
+                continue
+            fr, fi = fac
+            for j, (br, bi) in tail:
+                a = row.get(j)
+                if a is None:
+                    xr = fi * bi - fr * br
+                    xi = -fr * bi - fi * br
+                else:
+                    ar, ai = a
+                    xr = pr * ar - pi * ai - fr * br + fi * bi
+                    xi = pr * ai + pi * ar - fr * bi - fi * br
+                if xr or xi:
+                    yr, rr = divmod(xr * qr + xi * qi, qn)
+                    yi, ri = divmod(xi * qr - xr * qi, qn)
+                    if rr or ri:
+                        raise ArithmeticError("fraction-free elimination lost exactness")
+                    row[j] = (yr, yi)
+                elif a is not None:
+                    del row[j]
         pivots.append(c)
         prev = p
         r += 1
@@ -259,7 +315,7 @@ def _echelon(rows, ncols, reduced):
 
 def rank(m: IndexedMatrix) -> int:
     """Exact rank: the number of pivots of a forward pass."""
-    return len(_echelon(m.entries, m.ncols, False)[0])
+    return len(_echelon(m.nonzeros(), m.ncols, False)[0])
 
 
 def kernel_basis(m: IndexedMatrix):
@@ -269,29 +325,26 @@ def kernel_basis(m: IndexedMatrix):
     ordered by free column index (deterministic).
     """
     nc = m.ncols
-    pivots, rows, last, _ = _echelon(m.entries, nc, True)
+    pivots, rows, last, _ = _echelon(m.nonzeros(), nc, True)
     pivot_set = set(pivots)
-    basis = []
-    for f in range(nc):
-        if f in pivot_set:
-            continue
-        vec = [(0, 0)] * nc
-        vec[f] = last
-        for k, p in enumerate(pivots):
-            x = rows[k][f]
-            vec[p] = (-x[0], -x[1])
-        lead = next(x for x in vec if x != (0, 0))
-        basis.append(tuple(_gi_ratio(x, lead) for x in vec))
-    return basis
+    # free column f: `last` at f and -row_k[f] at pivot k
+    vectors = {f: {f: last} for f in range(nc) if f not in pivot_set}
+    for k, p in enumerate(pivots):
+        for f, x in rows[k].items():
+            if f not in pivot_set:
+                vectors[f][p] = (-x[0], -x[1])
+    return [_dense_quotient(vec, vec[min(vec)], nc) for vec in vectors.values()]
 
 
 def span_basis(vectors):
     """Reduced (RREF-row) basis of the span of the given vectors."""
-    vecs = [v for v in vectors if any(v)]
-    if not vecs:
+    vectors = list(vectors)
+    nonzero = [row for row in map(_nonzero_pairs, vectors) if row]
+    if not nonzero:
         return []
-    pivots, rows, last, _ = _echelon(vecs, len(vecs[0]), True)
-    return [tuple(_gi_ratio(x, last) for x in rows[k]) for k in range(len(pivots))]
+    nc = len(vectors[0])
+    pivots, rows, last, _ = _echelon(nonzero, nc, True)
+    return [_dense_quotient(row, last, nc) for row in rows[: len(pivots)]]
 
 
 def greedy_complement(base_columns, candidates):
@@ -301,8 +354,25 @@ def greedy_complement(base_columns, candidates):
     base_columns = list(base_columns)
     nb = len(base_columns)
     columns = base_columns + list(candidates)
-    pivots = _echelon(list(zip(*columns)), len(columns), False)[0]
+    rows = [_nonzero_pairs(row) for row in zip(*columns)]
+    pivots = _echelon(rows, len(columns), False)[0]
     return [c - nb for c in pivots if c >= nb]
+
+
+def check_containment(kernel_of: IndexedMatrix, image: IndexedMatrix):
+    """Raise :class:`ContainmentError` unless ``kernel_of`` kills every
+    column of ``image``; the witness is the first column it does not."""
+    if image.rows != kernel_of.cols:
+        raise ValueError("subquotient: image codomain does not match")
+    prod = kernel_of @ image
+    escaped = [j for row in prod.nonzeros() for j, _ in row]
+    if escaped:
+        j = min(escaped)
+        raise ContainmentError(
+            "image vector escapes the kernel (inconsistent complex)",
+            witness=image.column(j),
+            value=prod.column(j),
+        )
 
 
 def subquotient_dim(kernel_of: IndexedMatrix, images) -> int:
@@ -311,24 +381,11 @@ def subquotient_dim(kernel_of: IndexedMatrix, images) -> int:
     checked (raising :class:`ContainmentError` on violation)."""
     images = [img for img in images if img.ncols]
     for img in images:
-        if img.rows != kernel_of.cols:
-            raise ValueError("subquotient: image codomain does not match")
-        prod = kernel_of @ img
-        for j in range(prod.ncols):
-            col = prod.column(j)
-            if any(col):
-                raise ContainmentError(
-                    "image vector escapes the kernel (inconsistent complex)",
-                    witness=img.column(j),
-                    value=col,
-                )
+        check_containment(kernel_of, img)
     kdim = kernel_of.ncols - rank(kernel_of)
     if not images:
         return kdim
-    joined = images[0]
-    for img in images[1:]:
-        joined = hstack(joined, img)
-    out = kdim - rank(joined)
+    out = kdim - rank(reduce(hstack, images))
     if out < 0:
         raise ArithmeticError("containment held but dimension went negative")
     return out

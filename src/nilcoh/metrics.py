@@ -9,7 +9,7 @@ closedness checks below are well-defined for any Hermitian H.
 Conditions on omega (e = exterior exponent, n the dimension):
 
 * ``kahler``          d omega = 0
-* ``pluriclosed:k``   del delbar (omega^(n-k)) = 0, trivially true if n-k <= 0
+* ``pluriclosed:k``   del delbar (omega^(n-k)) = 0 for k in 1..n, trivially true at k = n
 * ``gauduchon``       pluriclosed:1
 * ``skt``             del delbar omega = 0
 * ``astheno``         pluriclosed:2
@@ -40,7 +40,7 @@ from math import prod
 
 from .algebra import AlgebraSpec, d, deldelbar
 from .forms import BasisForm, Form
-from .linalg import _denominator, _echelon
+from .linalg import _denominator, _echelon, _nonzero_pairs
 from .scalars import GaussianRational
 
 _CONDITIONS = ("kahler", "gauduchon", "skt", "astheno", "ft_pair")
@@ -108,7 +108,7 @@ class MetricForm:
         minors = []
         for k in range(1, self.n + 1):
             block = [row[:k] for row in self.H[:k]]
-            pivots, _, last, sign = _echelon(block, k, False)
+            pivots, _, last, sign = _echelon(map(_nonzero_pairs, block), k, False)
             if len(pivots) < k:
                 minors.append(Fraction(0))
                 continue
@@ -176,6 +176,8 @@ def check_condition(spec: AlgebraSpec, m: MetricForm, cond: str) -> CheckResult:
         if not sep.startswith(":"):
             raise ValueError("pluriclosed condition is written pluriclosed:K")
         k = int(sep[1:])
+        if not 1 <= k <= spec.n:
+            raise ValueError("pluriclosed:K needs K in 1..%d, got %d" % (spec.n, k))
         return _pluriclosed(spec, m, name, spec.n - k)
     if name in ("ftpair", "ft_pair"):
         first = deldelbar(spec, m.wedge_power(1))

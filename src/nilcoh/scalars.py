@@ -147,10 +147,17 @@ I = GaussianRational(0, 1)
 def parse_scalar(text: str) -> GaussianRational:
     """Parse a scalar literal: ``<rat>``, ``<rat>i``, ``<rat>+<rat>i``,
     ``<rat>-<rat>i`` (plus bare ``i`` / ``-i``), where ``<rat>`` is an
-    optionally signed integer or ``p/q``."""
+    optionally signed integer or ``p/q`` with q nonzero."""
     m = _SCALAR_RE.match(text)
     if m is None:
         raise ValueError("malformed scalar %r" % text)
+    try:
+        return _scalar_from_match(m)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in scalar %r" % text) from None
+
+
+def _scalar_from_match(m) -> GaussianRational:
     if m.group("re_only") is not None:
         return GaussianRational(Fraction(m.group("re_only")))
     if m.group("im_only") is not None:

@@ -25,6 +25,7 @@ from nilcoh.catalog import (
     torus_spec,
 )
 from nilcoh.cohomology import class_representatives, hodge_number, hodge_table
+from nilcoh.dsl import parse_structure_file
 from nilcoh.algebra import del_
 from nilcoh.forms import BasisForm, Form, alpha
 from nilcoh.metrics import check_condition, diagonal_metric, exnilp_lhs, fps_lhs
@@ -402,4 +403,33 @@ def test_criterion_11_l_functional_is_a_complex(capsys):
         "representative for the supplied gauduchon metric" % checked,
     )
     assert checked == len(catalog_list())
+    assert elapsed < 10
+
+
+def test_criterion_12_bott_chern_aeppli_duality_at_n6(capsys):
+    t0 = time.perf_counter()
+    spec = parse_structure_file("algebra h6 dim 6\nd a6 = (1) * a1 ^ a2\n")
+    bc = hodge_table(spec, "bott_chern")
+    ae = hodge_table(spec, "aeppli")
+    elapsed = time.perf_counter() - t0
+    n = spec.n
+    dual = all(
+        bc.entries[p][q] == ae.entries[n - q][n - p]
+        for p in range(n + 1)
+        for q in range(n + 1)
+    )
+    gap = ae.entries[0][1] - bc.entries[0][1]
+    ok = dual and bc.validity == "nilpotent_J" and gap == 1 and elapsed < 10
+    _verdict(
+        capsys,
+        12,
+        ok,
+        elapsed,
+        10,
+        "d a6 = a1^a2 at n=6: h_bc(p,q)=h_a(n-q,n-p) on all 49 bidegrees, "
+        "(0,1) gap %d" % gap,
+    )
+    assert dual
+    assert bc.validity == "nilpotent_J"
+    assert gap == 1
     assert elapsed < 10

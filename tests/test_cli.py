@@ -142,6 +142,39 @@ def test_metric_bad_diag_exits_two(files, capsys):
     assert code == 2
 
 
+def test_zero_denominator_coefficient_exits_two(tmp_path, capsys):
+    path = tmp_path / "zero.alg"
+    path.write_text("algebra zero dim 2\nd a2 = (1/0) * a1 ^ ~a1\n", encoding="ascii")
+    code, out, err = run(capsys, ["validate", str(path)])
+    assert code == 2
+    assert out == ""
+    assert "line 2, col 9" in err
+
+
+@pytest.mark.parametrize("payload", [{"H": [[1]]}, [1, 2], {"H": [[{"re": "1/0"}]]}])
+def test_malformed_hmatrix_exits_two(files, capsys, tmp_path, payload):
+    hpath = tmp_path / "H.json"
+    hpath.write_text(json.dumps(payload), encoding="ascii")
+    code, out, err = run(
+        capsys, ["metric", files["torus1"], "--hmatrix", str(hpath), "--check", "skt"]
+    )
+    assert code == 2
+    assert out == ""
+    assert str(hpath) in err
+    if isinstance(payload, dict):
+        assert "H[0][0]" in err
+
+
+@pytest.mark.parametrize("k", ["-3", "0", "4"])
+def test_pluriclosed_out_of_range_exits_two(files, capsys, k):
+    code, out, err = run(
+        capsys, ["metric", files["iwasawa"], "--check", "pluriclosed:" + k]
+    )
+    assert code == 2
+    assert out == ""
+    assert "1..3" in err
+
+
 def test_metric_pluriclosed_alias(files, capsys):
     code, out, _ = run(
         capsys, ["metric", files["iwasawa"], "--check", "pluriclosed:1"]

@@ -155,6 +155,65 @@ def test_subquotient_rejects_non_contained_image():
         subquotient_dim(z, [img])
 
 
+def _dense_product(a, b):
+    return [
+        [
+            sum((a.entries[i][k] * b.entries[k][j] for k in range(a.ncols)), gr(0))
+            for j in range(b.ncols)
+        ]
+        for i in range(a.nrows)
+    ]
+
+
+def _scanned_nonzeros(m):
+    return [[(j, z) for j, z in enumerate(row) if z] for row in m.entries]
+
+
+def test_matmul_equals_dense_reference():
+    rng = random.Random(83)
+    shapes = [(9, 7, 8, 0.04), (9, 7, 8, 0.9), (6, 5, 4, 0.5), (20, 30, 10, 0.03)]
+    shapes += [(0, 4, 3, 0.5), (4, 0, 3, 0.5), (4, 3, 0, 0.5), (0, 0, 0, 0.5)]
+    for nr, inner, nc, density in shapes:
+        a = mat(rand_matrix(rng, nr, inner, density).entries, col_labels=range(inner))
+        if nr == 0:
+            a = IndexedMatrix((), range(inner), ())
+        b = IndexedMatrix(range(inner), range(nc), rand_matrix(rng, inner, nc, density).entries)
+        prod = a @ b
+        assert (prod.rows, prod.cols) == (a.rows, b.cols)
+        assert [list(row) for row in prod.entries] == _dense_product(a, b)
+        # the nonzeros a product, a stack or a join carries are those of its entries
+        for m in (prod, vstack(prod, prod), hstack(a, a)):
+            assert [sorted(row) for row in m.nonzeros()] == _scanned_nonzeros(m)
+    # a product whose terms cancel holds no explicit zero among its nonzeros
+    a = mat([[gr(1), gr(1)]], col_labels=["x", "y"])
+    b = mat([[gr(2)], [gr(-2)]], row_labels=["x", "y"])
+    assert (a @ b).entries == ((gr(0),),) and (a @ b).nonzeros() == ((),)
+
+
+def test_containment_error_pins_first_escaping_column():
+    i = gr(0, 1)
+    k = mat(
+        [[gr(1), gr(0), gr(0)], [gr(0), gr(0), i]],
+        row_labels=["t0", "t1"],
+        col_labels=["e0", "e1", "e2"],
+    )
+    # column s0 is killed, s1 and s2 escape: the witness is s1
+    img = mat(
+        [
+            [gr(0), gr(0), gr(3)],
+            [gr(5), gr(Fraction(1, 2)), gr(0)],
+            [gr(0), gr(2, -1), gr(1)],
+        ],
+        row_labels=["e0", "e1", "e2"],
+        col_labels=["s0", "s1", "s2"],
+    )
+    fine = mat([[gr(0)], [gr(7)], [gr(0)]], row_labels=["e0", "e1", "e2"], col_labels=["u"])
+    with pytest.raises(ContainmentError) as info:
+        subquotient_dim(k, [fine, img])
+    assert info.value.witness == (gr(0), gr(Fraction(1, 2)), gr(2, -1))
+    assert info.value.value == (gr(0), gr(1, 2))
+
+
 def test_fraction_free_and_rref_agree_on_awkward_pivots():
     # leading zeros force pivot search; mixed denominators force clearing
     m = mat(
@@ -218,16 +277,61 @@ def oracle_matrices():
     )
 
 
+def sparse_matrices():
+    """Seeded sparse matrices, 1-5% nonzero with mixed denominators: tall,
+    wide and square, each with an empty row, an empty column and a row
+    that is a combination of two others (fill-in, rank deficiency)."""
+    rng = random.Random(73)
+    for shape in [(40, 12), (36, 18), (12, 40), (16, 36), (30, 30), (24, 28)] * 2:
+        nr, nc = shape
+        density = rng.uniform(0.01, 0.05)
+        rows = [[gr(0)] * nc for _ in range(nr)]
+        cells = rng.sample(range(nr * nc), max(4, round(density * nr * nc)))
+        for cell in cells:
+            rows[cell // nc][cell % nc] = gr(
+                Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 1, 2, 3, 5])),
+                Fraction(rng.choice([0, 0, -1, 1, 4]), rng.choice([1, 2, 7])),
+            )
+        empty_row, empty_col = rng.randrange(nr), rng.randrange(nc)
+        rows[empty_row] = [gr(0)] * nc
+        for row in rows:
+            row[empty_col] = gr(0)
+        full = [i for i in range(nr) if i != empty_row and any(rows[i])]
+        if len(full) >= 3:
+            a, b, c = rng.sample(full, 3)
+            fac = gr(Fraction(rng.randint(1, 3), 2), rng.randint(-1, 1))
+            rows[c] = [x + fac * y for x, y in zip(rows[a], rows[b])]
+        yield mat(rows)
+
+
+def _sympy_kernel(m):
+    out = []
+    for v in to_sympy(m).nullspace(iszerofunc=_expand_is_zero, simplify=sympy.expand):
+        vec = [from_sympy(x) for x in v]
+        lead = next(x for x in vec if x)
+        out.append(tuple(x / lead for x in vec))
+    return out
+
+
+def test_sparse_rank_kernel_span_and_complement_equal_sympy():
+    rng = random.Random(79)
+    for m in sparse_matrices():
+        reduced, pivots = sympy_rref(m)
+        assert rank(m) == len(pivots)
+        assert kernel_basis(m) == _sympy_kernel(m)
+        assert span_basis(list(m.entries)) == [
+            tuple(from_sympy(reduced[k, j]) for j in range(m.ncols))
+            for k in range(len(pivots))
+        ]
+        columns = [m.column(j) for j in range(m.ncols)]
+        for nb in {0, rng.randint(0, m.ncols), m.ncols}:
+            expected = [p - nb for p in pivots if p >= nb]
+            assert greedy_complement(columns[:nb], columns[nb:]) == expected
+
+
 def test_kernel_basis_vectors_equal_sympy_nullspace():
     for m in oracle_matrices():
-        expected = []
-        for v in to_sympy(m).nullspace(
-            iszerofunc=_expand_is_zero, simplify=sympy.expand
-        ):
-            vec = [from_sympy(x) for x in v]
-            lead = next(x for x in vec if x)
-            expected.append(tuple(x / lead for x in vec))
-        assert kernel_basis(m) == expected
+        assert kernel_basis(m) == _sympy_kernel(m)
 
 
 def test_span_basis_equals_sympy_rref_rows():
