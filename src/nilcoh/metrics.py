@@ -2,6 +2,16 @@
 
 A metric is a Hermitian n x n matrix H of Gaussian rationals; the
 associated real (1,1)-form is ``omega = i * sum_jk H[j][k] a_j ^ ~a_k``.
+Its wedge powers are read off the minors of H,
+
+    omega^k = k! i^k (-1)^(k(k-1)/2) sum_{|S|=|T|=k} det H[S,T] a_S ^ ~a_T,
+
+since a term a_j1^~a_k1 ^ ... ^ a_jk^~a_kk reorders to a_S ^ ~a_T with
+the sign (-1)^(k(k-1)/2) times the signs of the permutations j and k, and
+the k! orderings of the factors give the same term.  The minors are
+computed exactly over the Gaussian integers (see
+:meth:`MetricForm.wedge_power`).
+
 Positivity (H positive definite) is decided exactly by Sylvester's
 criterion on leading principal minors and is reported, not required: the
 closedness checks below are well-defined for any Hermitian H.
@@ -36,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import factorial, prod
 
 from .algebra import AlgebraSpec, d, deldelbar
 from .forms import BasisForm, Form
@@ -48,6 +58,11 @@ _CONDITIONS = ("kahler", "gauduchon", "skt", "astheno", "ft_pair")
 
 def _as_scalar(x) -> GaussianRational:
     return x if isinstance(x, GaussianRational) else GaussianRational(x)
+
+
+def _mask_indices(mask):
+    """The 1-based indices of the set bits of ``mask``."""
+    return tuple(j + 1 for j in range(mask.bit_length()) if mask >> j & 1)
 
 
 class MetricForm:
@@ -76,28 +91,83 @@ class MetricForm:
     @property
     def omega(self) -> Form:
         """i * sum H[j][k] a_j ^ ~a_k (a real (1,1)-form)."""
-        cached = self._cache.get("omega")
-        if cached is None:
-            i = GaussianRational(0, 1)
-            terms = {}
-            for j in range(self.n):
-                for k in range(self.n):
-                    if self.H[j][k]:
-                        terms[BasisForm((j + 1,), (k + 1,))] = i * self.H[j][k]
-            cached = Form(terms)
-            self._cache["omega"] = cached
-        return cached
+        return self.wedge_power(1)
 
     def wedge_power(self, k: int) -> Form:
-        """omega^k with omega^0 = 1; powers are memoized."""
+        """omega^k, from the k x k minors of H:
+
+            omega^k = k! i^k (-1)^(k(k-1)/2) sum_{|S|=|T|=k} det H[S,T] a_S ^ ~a_T
+
+        with omega^0 = 1 and omega^k = 0 for k > n.  H is scaled to
+        Gaussian integers by the lcm L of its denominators, and the minors
+        of L*H are built level by level by Laplace expansion along the
+        first row of S, keyed by row and column bitmasks; only the nonzero
+        minors of one level are kept.  Dividing by L^k at the end gives the
+        exact coefficients.  Each requested power is memoized."""
         if k < 0:
             raise ValueError("wedge power wants a nonnegative exponent")
-        powers = self._cache.setdefault("powers", {0: Form.scalar(1)})
-        top = max(powers)
-        while top < k:
-            powers[top + 1] = powers[top] ^ self.omega
-            top += 1
-        return powers[k]
+        cached = self._cache.get(k)
+        if cached is None:
+            cached = self._cache[k] = self._power_from_minors(k)
+        return cached
+
+    def _power_from_minors(self, k: int) -> Form:
+        n = self.n
+        if k == 0:
+            return Form.scalar(1)
+        if k > n:
+            return Form()
+        scale = _denominator(z for row in self.H for z in row)
+        rows = [
+            [
+                (1 << t, z.re.numerator * (scale // z.re.denominator),
+                 z.im.numerator * (scale // z.im.denominator))
+                for t, z in enumerate(row)
+                if z
+            ]
+            for row in self.H
+        ]
+        # level m maps a row mask to {column mask: minor}.  A row set that
+        # grows by k - m more rows, each one above its first row, starts at
+        # row k - m or later.
+        level = {1 << s: {b: (gr, gi) for b, gr, gi in rows[s]} for s in range(k - 1, n)}
+        for m in range(1, k):
+            grown = {}
+            for smask, minors in level.items():
+                first = (smask & -smask).bit_length() - 1
+                for s in range(k - m - 1, first):
+                    acc = grown.setdefault(smask | 1 << s, {})
+                    for tmask, (vr, vi) in minors.items():
+                        for b, gr, gi in rows[s]:
+                            if tmask & b:
+                                continue
+                            xr = gr * vr - gi * vi
+                            xi = gr * vi + gi * vr
+                            if (tmask & (b - 1)).bit_count() & 1:
+                                xr, xi = -xr, -xi
+                            key = tmask | b
+                            old = acc.get(key)
+                            if old is not None:
+                                xr += old[0]
+                                xi += old[1]
+                                if not (xr or xi):
+                                    del acc[key]
+                                    continue
+                            acc[key] = (xr, xi)
+            level = {smask: acc for smask, acc in grown.items() if acc}
+        # i^k (-1)^(k(k-1)/2) = i^(k^2): 1 for even k, i for odd k
+        factor = factorial(k)
+        denom = scale**k
+        terms = {}
+        for smask, minors in level.items():
+            holo = _mask_indices(smask)
+            for tmask, (vr, vi) in minors.items():
+                if k & 1:
+                    vr, vi = -vi, vr
+                terms[BasisForm(holo, _mask_indices(tmask))] = GaussianRational(
+                    Fraction(factor * vr, denom), Fraction(factor * vi, denom)
+                )
+        return Form(terms)
 
     def leading_minors(self):
         """Leading principal minor determinants (exact, real rationals).
@@ -113,7 +183,7 @@ class MetricForm:
                 minors.append(Fraction(0))
                 continue
             if last[1]:
-                raise AssertionError("Hermitian minor with nonzero imaginary part")
+                raise ArithmeticError("Hermitian minor with nonzero imaginary part")
             minors.append(Fraction(sign * last[0], prod(map(_denominator, block))))
         return minors
 

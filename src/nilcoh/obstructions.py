@@ -124,9 +124,13 @@ def gap_verdict(spec: AlgebraSpec) -> GapVerdict:
 def l_functional(spec: AlgebraSpec, m: MetricForm) -> LFunctional:
     """Volume coefficient of ``del a ^ omega^(n-1)`` on Aeppli (0,1)
     representatives.  Requires omega to be Gauduchon (checked)."""
-    gauduchon = check_condition(spec, m, "gauduchon")
-    if not gauduchon.holds:
+    if not check_condition(spec, m, "gauduchon").holds:
         raise ValueError("metric is not Gauduchon; the functional is not defined")
+    return _l_functional(spec, m)
+
+
+def _l_functional(spec: AlgebraSpec, m: MetricForm) -> LFunctional:
+    """:func:`l_functional` for a metric already known to be Gauduchon."""
     volume = BasisForm(tuple(range(1, spec.n + 1)), tuple(range(1, spec.n + 1)))
     power = m.wedge_power(spec.n - 1)
     reps = class_representatives(spec, "aeppli", 0, 1)
@@ -201,7 +205,7 @@ def obstruction_report(spec: AlgebraSpec, metric: MetricForm | None = None) -> O
         gauduchon = check_condition(spec, metric, "gauduchon")
         out.gauduchon = gauduchon.holds
         if gauduchon.holds:
-            lf = l_functional(spec, metric)
+            lf = _l_functional(spec, metric)
             out.l_rank = lf.rank
             out.l_values = lf.values
     return out

@@ -28,7 +28,13 @@ from nilcoh.cohomology import class_representatives, hodge_number, hodge_table
 from nilcoh.dsl import parse_structure_file
 from nilcoh.algebra import del_
 from nilcoh.forms import BasisForm, Form, alpha
-from nilcoh.metrics import check_condition, diagonal_metric, exnilp_lhs, fps_lhs
+from nilcoh.metrics import (
+    build_metric,
+    check_condition,
+    diagonal_metric,
+    exnilp_lhs,
+    fps_lhs,
+)
 from nilcoh.obstructions import (
     gap_verdict,
     jost_yau,
@@ -38,7 +44,11 @@ from nilcoh.obstructions import (
 )
 from nilcoh.scalars import GaussianRational
 
+from sympy import Matrix, QQ_I
+from sympy.polys.matrices import DomainMatrix
+
 from generators import is_abelian, rand_gauss, random_two_step
+from oracle import scalar_to_sympy
 
 
 def _verdict(capsys, number, ok, elapsed, budget, detail):
@@ -69,6 +79,33 @@ def predicted_astheno_witness(n, lhs):
     return (c * GaussianRational(lhs)) * Form(
         {BasisForm(full, full): GaussianRational(1)}
     )
+
+
+def dominant_metric(rng, n):
+    """A dense Hermitian matrix with denominators 1..3, positive definite
+    by strict diagonal dominance."""
+    H = [[None] * n for _ in range(n)]
+    for j in range(n):
+        H[j][j] = GaussianRational(4 * (n - 1) + rng.randint(1, 3))
+        for k in range(j + 1, n):
+            den = rng.randint(1, 3)
+            z = GaussianRational(
+                Fraction(rng.choice((-2, -1, 1, 2)), den), Fraction(rng.randint(-2, 2), den)
+            )
+            H[j][k] = z
+            H[k][j] = z.conjugate()
+    return H
+
+
+def random_exnilp(rng, n):
+    """Random A (strictly upper triangular) and B for the exnilp family."""
+    m = n - 1
+    A = [
+        [rand_gauss(rng) if i < j else GaussianRational(0) for j in range(m)]
+        for i in range(m)
+    ]
+    B = [[rand_gauss(rng) for _ in range(m)] for _ in range(m)]
+    return A, B
 
 
 def test_criterion_01_iwasawa_headline_dimensions(capsys):
@@ -432,4 +469,77 @@ def test_criterion_12_bott_chern_aeppli_duality_at_n6(capsys):
     assert dual
     assert bc.validity == "nilpotent_J"
     assert gap == 1
+    assert elapsed < 10
+
+
+def test_criterion_13_metric_checks_at_larger_n(capsys):
+    rng = random.Random(20261018)
+    t0 = time.perf_counter()
+
+    # obstruct at n = 7 with a dense metric.  Nilpotent Lie algebras are
+    # unimodular, so every invariant (2n-1)-form is closed and every metric
+    # is Gauduchon; L then vanishes on Bott-Chern classes.
+    spec7 = exnilp_spec(7, *random_exnilp(rng, 7))
+    met7 = build_metric(7, dominant_metric(rng, 7))
+    rep = obstruction_report(spec7, met7)
+    assert rep.gauduchon
+    assert rep.l_values == l_functional(spec7, met7).values
+    assert rep.l_rank <= min(1, rep.gap)
+    volume7 = BasisForm(tuple(range(1, 8)), tuple(range(1, 8)))
+    for bc in class_representatives(spec7, "bott_chern", 0, 1):
+        assert (del_(spec7, bc) ^ met7.wedge_power(6)).coefficient(volume7).is_zero()
+
+    # gauduchon and astheno at n = 8 with a dense metric; omega^6 scales by
+    # c^6 when H scales by c
+    spec8 = exnilp_spec(8, *random_exnilp(rng, 8))
+    H8 = dominant_metric(rng, 8)
+    met8 = build_metric(8, H8)
+    assert check_condition(spec8, met8, "gauduchon").holds
+    astheno = check_condition(spec8, met8, "astheno")
+    assert not astheno.holds and not astheno.witness.is_zero()  # this draw fails
+    half = build_metric(8, [[z * Fraction(1, 2) for z in row] for row in H8])
+    assert check_condition(spec8, half, "astheno").witness == astheno.witness * Fraction(1, 64)
+
+    # the top power is 8! i^8 (-1)^28 det H vol, with det H from sympy; the
+    # generic wedge ties the two powers below it to the top
+    D = DomainMatrix.from_Matrix(Matrix([[scalar_to_sympy(z) for z in row] for row in H8]))
+    det = QQ_I.to_sympy(D.convert_to(QQ_I).det())
+    volume8 = BasisForm(tuple(range(1, 9)), tuple(range(1, 9)))
+    top = met8.wedge_power(8)
+    assert len(top) == 1
+    assert scalar_to_sympy(top.coefficient(volume8)) == math.factorial(8) * det
+    assert met8.wedge_power(7) ^ met8.omega == top
+    assert met8.wedge_power(6) ^ met8.omega == met8.wedge_power(7)
+
+    # identity-metric astheno against the closed form at n = 8 (criterion 4
+    # stops at n = 5)
+    identity = diagonal_metric(8)
+    draws = zero_side = 0
+    for trial in range(10):
+        if trial < 8:
+            A, B = random_exnilp(rng, 8)
+        else:
+            v = [rand_gauss(rng) for _ in range(7)]
+            A, B = 0, [[v[i] * v[j].conjugate() for j in range(7)] for i in range(7)]
+        lhs = exnilp_lhs(8, A, B)
+        r = check_condition(exnilp_spec(8, A, B), identity, "astheno")
+        assert (lhs == 0) == r.holds, trial
+        assert r.witness == predicted_astheno_witness(8, lhs), trial
+        draws += 1
+        zero_side += lhs == 0
+
+    elapsed = time.perf_counter() - t0
+    ok = zero_side >= 2 and elapsed < 10
+    _verdict(
+        capsys,
+        13,
+        ok,
+        elapsed,
+        10,
+        "dense metrics: obstruct at n=7 (L rank %d, gap %d), gauduchon and "
+        "astheno at n=8, omega^8 = 8! det H vol; %d identity-metric exnilp "
+        "draws at n=8 (%d on the zero set) match exnilp_lhs"
+        % (rep.l_rank, rep.gap, draws, zero_side),
+    )
+    assert zero_side >= 2
     assert elapsed < 10

@@ -1,9 +1,16 @@
 """Hermitian metric forms and the vanishing-condition checks."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from sympy import I as SYMPY_I
+from sympy import Matrix, QQ_I
+from sympy.polys.matrices import DomainMatrix
+
+import nilcoh.metrics
 
 from nilcoh.algebra import deldelbar
 from nilcoh.catalog import (
@@ -26,6 +33,8 @@ from nilcoh.metrics import (
 )
 from nilcoh.scalars import GaussianRational
 
+from oracle import scalar_to_sympy
+
 
 def gr(re, im=0):
     return GaussianRational(Fraction(re), Fraction(im))
@@ -47,6 +56,122 @@ def test_top_power_is_factorial_volume():
     vol = Form({BasisForm((1, 2, 3), (1, 2, 3)): gr(0, 6)})
     assert m.wedge_power(3) == vol
     assert m.wedge_power(0) == Form.scalar(gr(1))
+
+
+def _random_hermitian(rng, n, kind):
+    """A Hermitian matrix with denominators 1..6 of one of three kinds:
+    ``mixed`` (about a third of the off-diagonal entries zero),
+    ``singular`` (a sum of max(1, n-1) rank-one matrices v v*) and
+    ``indefinite`` (diagonally dominant with diagonal signs alternating)."""
+
+    def q(span=3):
+        return Fraction(rng.randint(-span, span), rng.randint(1, 6))
+
+    H = [[gr(0)] * n for _ in range(n)]
+    if kind == "singular":
+        for _ in range(max(1, n - 1)):
+            v = [gr(q(), q()) for _ in range(n)]
+            for j in range(n):
+                for k in range(n):
+                    H[j][k] = H[j][k] + v[j] * v[k].conjugate()
+        return H
+    for j in range(n):
+        for k in range(j + 1, n):
+            if kind == "indefinite" or rng.random() > 1 / 3:
+                H[j][k] = gr(q(), q())
+                H[k][j] = H[j][k].conjugate()
+        if kind == "indefinite":
+            H[j][j] = gr((-1) ** j * (4 * n + rng.randint(1, 5)), 0)
+        else:
+            H[j][j] = gr(q(5))
+    return H
+
+
+def _hermitian_cases():
+    rng = random.Random(20261018)
+    for n in range(1, 7):
+        for kind in ("mixed", "singular", "indefinite"):
+            yield n, kind, _random_hermitian(rng, n, kind)
+
+
+def _omega(H):
+    """i sum H[j][k] a_j ^ ~a_k, straight from the definition."""
+    n = len(H)
+    return Form(
+        {BasisForm((j + 1,), (l + 1,)): gr(0, 1) * H[j][l] for j in range(n) for l in range(n)}
+    )
+
+
+def _sympy_minor_power(H, k):
+    """k! i^k (-1)^(k(k-1)/2) sum det H[S,T] a_S ^ ~a_T, with the minors
+    taken by sympy over QQ<I>, as a dict monomial -> QQ<I> element."""
+    n = len(H)
+    D = DomainMatrix.from_Matrix(Matrix([[scalar_to_sympy(z) for z in row] for row in H]))
+    D = D.convert_to(QQ_I)
+    unit = QQ_I.from_sympy(SYMPY_I**k * (-1) ** (k * (k - 1) // 2) * math.factorial(k))
+    out = {}
+    for S in itertools.combinations(range(n), k):
+        for T in itertools.combinations(range(n), k):
+            minor = D.extract(list(S), list(T)).det() if k else QQ_I.one
+            if minor:
+                key = BasisForm(tuple(j + 1 for j in S), tuple(j + 1 for j in T))
+                out[key] = unit * minor
+    return out
+
+
+def test_wedge_power_equals_iterated_wedge():
+    for n, kind, H in _hermitian_cases():
+        m = MetricForm(H)
+        omega = _omega(H)
+        iterated = Form.scalar(gr(1))
+        for k in range(n + 2):
+            assert m.wedge_power(k) == iterated, (n, kind, k)
+            iterated = iterated ^ omega
+
+
+def test_wedge_power_equals_sympy_minors():
+    for n, kind, H in _hermitian_cases():
+        m = MetricForm(H)
+        for k in range(n + 1):
+            got = {
+                bf: QQ_I.from_sympy(scalar_to_sympy(c)) for bf, c in m.wedge_power(k).terms()
+            }
+            assert got == _sympy_minor_power(H, k), (n, kind, k)
+        assert m.wedge_power(n + 1).is_zero()
+        assert m.wedge_power(n + 5).is_zero()
+
+
+def test_wedge_power_case_coverage():
+    kinds = {}
+    for n, kind, H in _hermitian_cases():
+        m = MetricForm(H)
+        kinds.setdefault(kind, []).append(m)
+        if kind == "singular" and n > 1:
+            assert m.wedge_power(n).is_zero()  # det H = 0
+        if kind == "indefinite" and n > 1:
+            assert not m.is_positive()
+    dens = {z.re.denominator for ms in kinds.values() for m in ms for row in m.H for z in row}
+    assert len(dens) > 3  # mixed denominators
+    assert any(not z for m in kinds["mixed"] for row in m.H for z in row)  # zero entries
+
+
+def test_wedge_power_rejects_negative_exponent():
+    m = diagonal_metric(2)
+    with pytest.raises(ValueError):
+        m.wedge_power(-1)
+
+
+def test_leading_minors_raises_on_complex_minor(monkeypatch):
+    # an elimination that ends on a non-real pivot breaks the Hermitian invariant
+    true_echelon = nilcoh.metrics._echelon
+
+    def skewed(rows, ncols, reduced):
+        pivots, out, last, sign = true_echelon(rows, ncols, reduced)
+        return pivots, out, (last[0], last[1] + 1), sign
+
+    monkeypatch.setattr(nilcoh.metrics, "_echelon", skewed)
+    with pytest.raises(ArithmeticError):
+        diagonal_metric(2).leading_minors()
 
 
 def test_hermitian_validation():

@@ -104,6 +104,24 @@ def test_l_functional_requires_gauduchon():
     assert not check_condition(spec, diagonal_metric(2), "gauduchon").holds
     with pytest.raises(ValueError):
         l_functional(spec, diagonal_metric(2))
+    rep = obstruction_report(spec, diagonal_metric(2))
+    assert rep.gauduchon is False and rep.l_rank is None and rep.l_values is None
+
+
+def test_obstruction_report_checks_gauduchon_once(monkeypatch):
+    import nilcoh.obstructions
+
+    true_check = nilcoh.obstructions.check_condition
+    checked = []
+
+    def counting(spec, m, cond):
+        checked.append(cond)
+        return true_check(spec, m, cond)
+
+    monkeypatch.setattr(nilcoh.obstructions, "check_condition", counting)
+    rep = obstruction_report(iwasawa_spec(), diagonal_metric(3))
+    assert rep.gauduchon and rep.l_rank is not None
+    assert checked == ["gauduchon"]
 
 
 def test_exactness_hook_on_astheno_specs():
