@@ -19,6 +19,7 @@ from nilcoh import (
     obstruction_report,
     emit_report,
 )
+from nilcoh.reports import obstruction_json
 
 iwasawa = catalog_get("iwasawa").spec
 kodaira = catalog_get("kodaira").spec
@@ -75,7 +76,7 @@ print("kunneth aeppli: %d + %d -> %d (superadditive: %s)"
 # invariant astheno metric can exist.
 report = obstruction_report(iwasawa, diagonal_metric(iwasawa.n))
 print("\nfull iwasawa report:")
-print(emit_report(report), end="")
+print(emit_report({"verdicts": obstruction_json(report)}), end="")
 
 # The nakamura structure is excluded for a different reason than the
 # iwasawa one: its gap at (0,1) is already 2, before any metric enters.

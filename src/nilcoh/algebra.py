@@ -23,9 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .forms import BasisForm, Form
-from .linalg import IndexedMatrix, hstack, kernel_basis, span_basis
-from .scalars import GaussianRational
+from .forms import BasisForm, Form, degree_basis
+from .linalg import IndexedMatrix, kernel_basis, span_basis
 
 _ALLOWED_BIDEGREES = {(2, 0), (1, 1)}
 
@@ -163,30 +162,29 @@ def deldelbar(spec: AlgebraSpec, x: Form) -> Form:
     return del_(spec, delbar(spec, x))
 
 
+def _coefficient_matrix(codomain, cols, images) -> IndexedMatrix:
+    """The matrix whose column j holds the coefficients of the form
+    ``images[j]`` on the ``codomain`` basis; terms outside it are dropped."""
+    index = {bf: i for i, bf in enumerate(codomain)}
+    nonzeros = [[] for _ in codomain]
+    for j, image in enumerate(images):
+        for bf, c in image.terms():
+            i = index.get(bf)
+            if i is not None:
+                nonzeros[i].append((j, c))
+    return IndexedMatrix.from_nonzeros(codomain, cols, nonzeros)
+
+
+def differential_matrix(spec: AlgebraSpec, domain, codomain) -> IndexedMatrix:
+    """Matrix of d from the span of the ``domain`` monomials to the span of
+    the ``codomain`` monomials: the terms of d of each domain monomial that
+    lie in the codomain.  A codomain of one bidegree (p+1, q) or (p, q+1)
+    gives del or delbar, one of one total degree gives d."""
+    return _coefficient_matrix(codomain, domain, (_d_monomial(spec, bf) for bf in domain))
+
+
 # ---------------------------------------------------------------------------
 # validation and the nilpotency flag
-
-
-def degree_one_basis(n: int):
-    return tuple(BasisForm((j,), ()) for j in range(1, n + 1)) + tuple(
-        BasisForm((), (j,)) for j in range(1, n + 1)
-    )
-
-
-def degree_two_basis(n: int):
-    out = []
-    for p, q in ((2, 0), (1, 1), (0, 2)):
-        for holo in combinations(range(1, n + 1), p):
-            for anti in combinations(range(1, n + 1), q):
-                out.append(BasisForm(holo, anti))
-    return tuple(sorted(out, key=lambda bf: bf.sort_key()))
-
-
-def _coordinates(form: Form, basis_index: dict):
-    vec = [GaussianRational(0)] * len(basis_index)
-    for bf, c in form.terms():
-        vec[basis_index[bf]] = c
-    return vec
 
 
 def nilpotency_filtration(spec: AlgebraSpec):
@@ -198,13 +196,9 @@ def nilpotency_filtration(spec: AlgebraSpec):
     dimension 2n is the last entry) or repeats (not nilpotent, the repeated
     dimension is recorded)."""
     n = spec.n
-    v_basis = degree_one_basis(n)
-    two_basis = degree_two_basis(n)
-    two_index = {bf: k for k, bf in enumerate(two_basis)}
-    d_cols = [
-        _coordinates(d(spec, Form({bf: 1})), two_index) for bf in v_basis
-    ]
-    d_matrix = IndexedMatrix.from_columns(two_basis, v_basis, d_cols)
+    v_basis = degree_basis(n, 1)
+    two_basis = degree_basis(n, 2)
+    d_images = [_d_monomial(spec, bf) for bf in v_basis]
 
     prev_vectors = []
     dims = []
@@ -213,20 +207,9 @@ def nilpotency_filtration(spec: AlgebraSpec):
             Form({bf: c for bf, c in zip(v_basis, vec) if c})
             for vec in prev_vectors
         ]
-        wedge_cols = []
-        for a in range(len(prev_forms)):
-            for b in range(a + 1, len(prev_forms)):
-                w = prev_forms[a] ^ prev_forms[b]
-                if w:
-                    wedge_cols.append(_coordinates(w, two_index))
-        m = d_matrix
-        if wedge_cols:
-            w_matrix = IndexedMatrix.from_columns(
-                two_basis,
-                tuple(range(len(wedge_cols))),
-                wedge_cols,
-            )
-            m = hstack(d_matrix, w_matrix)
+        # d columns first, then the wedges spanning Lambda^2(S_{l-1})
+        images = d_images + [w for a, b in combinations(prev_forms, 2) if (w := a ^ b)]
+        m = _coefficient_matrix(two_basis, range(len(images)), images)
         projected = [vec[: 2 * n] for vec in kernel_basis(m)]
         vectors = span_basis(projected)
         dim = len(vectors)

@@ -44,10 +44,6 @@ def _fail_usage(message: str) -> int:
     return 2
 
 
-def _load_spec(path: str):
-    return read_structure_file(path)
-
-
 def _read_hmatrix(path: str):
     """The rows of H from a JSON file {"H": [[{"re": .., "im": ..}, ...], ...]};
     a malformed file raises ValueError naming the offending place."""
@@ -87,7 +83,7 @@ def _metric_from_args(args, n: int) -> MetricForm:
 
 
 def _cmd_validate(args) -> int:
-    spec = _load_spec(args.file)
+    spec = read_structure_file(args.file)
     report = validate(spec)
     payload = spec_header(spec)
     payload.update(validation_json(report))
@@ -112,7 +108,7 @@ def _cmd_table(args) -> int:
             "unknown theory %r (choose from %s)"
             % (args.theory, ", ".join(sorted(_THEORY_ALIASES)))
         )
-    spec = _load_spec(args.file)
+    spec = read_structure_file(args.file)
     report = validate(spec)
     if not report.jacobi_ok:
         payload = spec_header(spec)
@@ -142,7 +138,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_metric(args) -> int:
-    spec = _load_spec(args.file)
+    spec = read_structure_file(args.file)
     metric = _metric_from_args(args, spec.n)
     result = check_condition(spec, metric, args.check)
     verdict = check_json(result)
@@ -154,7 +150,7 @@ def _cmd_metric(args) -> int:
 
 
 def _cmd_obstruct(args) -> int:
-    spec = _load_spec(args.file)
+    spec = read_structure_file(args.file)
     metric = None
     if getattr(args, "diag", None) or getattr(args, "hmatrix", None):
         metric = _metric_from_args(args, spec.n)
@@ -169,8 +165,8 @@ def _cmd_obstruct(args) -> int:
 
 
 def _cmd_product(args) -> int:
-    left = _load_spec(args.file1)
-    right = _load_spec(args.file2)
+    left = read_structure_file(args.file1)
+    right = read_structure_file(args.file2)
     text = format_structure_file(direct_sum(left, right))
     if args.output:
         with open(args.output, "w", encoding="ascii") as fh:
@@ -245,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="bc",
         help="bc | aeppli | dolbeault | conj_dolbeault | derham",
     )
-    p.add_argument("--json", action="store_true", help="JSON output (the default)")
     p.add_argument("--pretty", action="store_true", help="aligned text table")
     p.set_defaults(func=_cmd_table)
 
@@ -275,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("catalog", help="list / show / suite over worked examples")
     p.add_argument("action", choices=["list", "show", "suite"])
     p.add_argument("keys", nargs="*", help="catalog key(s)")
-    p.add_argument("--json", action="store_true", help="JSON output (the default)")
     p.add_argument("--pretty", action="store_true", help="plain-text output")
     p.set_defaults(func=_cmd_catalog)
 

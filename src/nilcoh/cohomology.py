@@ -10,6 +10,11 @@ algebra of the spec), as exact subquotient dimensions:
 * aeppli           ker(del.delbar on (p,q))      / (del (p-1,q) + delbar (p,q-1))
 * de Rham          ker(d on degree k)            / d (degree k-1)
 
+The del and delbar matrices out of each (p,q), and the d matrix on each
+degree, are built by :func:`nilcoh.algebra.differential_matrix`; del.delbar
+is the product of the two cached factors.  Each operator matrix is built
+once per spec, and no matrix with rows and columns is ranked twice.
+
 Each hodge table carries a validity flag: ``nilpotent_J`` when the
 nilpotency filtration closes at the full degree-one space (for those specs
 the invariant computation computes the corresponding compact-quotient
@@ -20,10 +25,9 @@ invariants of the complex, but carry no manifold-level claim).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .algebra import AlgebraSpec, d, del_, delbar, deldelbar, validate
-from .forms import BasisForm, Form
+from .algebra import AlgebraSpec, differential_matrix, validate
+from .forms import Form, component_basis, degree_basis
 from .linalg import (
     IndexedMatrix,
     check_containment,
@@ -33,8 +37,11 @@ from .linalg import (
     rank,
     vstack,
 )
+from .scalars import GaussianRational
 
 THEORIES = ("dolbeault", "conj_dolbeault", "bott_chern", "aeppli")
+
+_ZERO = GaussianRational(0)
 
 
 @dataclass
@@ -47,34 +54,6 @@ class HodgeTable:
     validity: str  # "nilpotent_J" | "ce_only"
 
 
-def component_basis(n: int, p: int, q: int):
-    """Canonical ordered basis of the (p,q) component (lex on (S,T))."""
-    if p < 0 or q < 0 or p > n or q > n:
-        return ()
-    return tuple(
-        BasisForm(holo, anti)
-        for holo in combinations(range(1, n + 1), p)
-        for anti in combinations(range(1, n + 1), q)
-    )
-
-
-def degree_basis(n: int, k: int):
-    """Canonical ordered basis of the total degree-k space."""
-    out = []
-    for p in range(0, k + 1):
-        out.extend(component_basis(n, p, k - p))
-    return tuple(out)
-
-
-def _matrix_from_images(domain, codomain, images):
-    index = {bf: i for i, bf in enumerate(codomain)}
-    nonzeros = [[] for _ in codomain]
-    for j, img in enumerate(images):
-        for bf, c in img.terms():
-            nonzeros[index[bf]].append((j, c))
-    return IndexedMatrix.from_nonzeros(codomain, domain, nonzeros)
-
-
 def operator_matrix(spec: AlgebraSpec, op: str, p: int, q: int) -> IndexedMatrix:
     """Matrix of del / delbar / deldelbar out of the (p,q) component."""
     key = (op, p, q)
@@ -82,20 +61,15 @@ def operator_matrix(spec: AlgebraSpec, op: str, p: int, q: int) -> IndexedMatrix
     cached = cache.get(key)
     if cached is not None:
         return cached
-    domain = component_basis(spec.n, p, q)
+    n = spec.n
     if op == "del":
-        codomain = component_basis(spec.n, p + 1, q)
-        fn = del_
+        out = differential_matrix(spec, component_basis(n, p, q), component_basis(n, p + 1, q))
     elif op == "delbar":
-        codomain = component_basis(spec.n, p, q + 1)
-        fn = delbar
+        out = differential_matrix(spec, component_basis(n, p, q), component_basis(n, p, q + 1))
     elif op == "deldelbar":
-        codomain = component_basis(spec.n, p + 1, q + 1)
-        fn = deldelbar
+        out = operator_matrix(spec, "del", p, q + 1) @ operator_matrix(spec, "delbar", p, q)
     else:
         raise ValueError("unknown operator %r" % op)
-    images = [fn(spec, Form({bf: 1})) for bf in domain]
-    out = _matrix_from_images(domain, codomain, images)
     cache[key] = out
     return out
 
@@ -107,10 +81,7 @@ def d_matrix(spec: AlgebraSpec, k: int) -> IndexedMatrix:
     cached = cache.get(key)
     if cached is not None:
         return cached
-    domain = degree_basis(spec.n, k) if 0 <= k <= 2 * spec.n else ()
-    codomain = degree_basis(spec.n, k + 1) if 0 <= k + 1 <= 2 * spec.n else ()
-    images = [d(spec, Form({bf: 1})) for bf in domain]
-    out = _matrix_from_images(domain, codomain, images)
+    out = differential_matrix(spec, degree_basis(spec.n, k), degree_basis(spec.n, k + 1))
     cache[key] = out
     return out
 
@@ -124,7 +95,7 @@ def _operator(spec: AlgebraSpec, key) -> IndexedMatrix:
     ("del+delbar", p, q) puts del out of (p-1,q) beside delbar out of
     (p,q-1), so its image is the sum of theirs in (p,q).  The joint ones
     are assembled from the cached operators on each call: keeping them
-    would hold a second copy of every cell.
+    would hold a second copy of every nonzero.
     """
     op = key[0]
     if op == "d":
@@ -164,23 +135,36 @@ def _subquotient(spec: AlgebraSpec, kernel_key, image_key) -> int:
     return out
 
 
-def _theory_keys(theory, p, q):
-    """The (kernel, image) operator keys whose subquotient is h^{p,q}."""
+def _theory_keys(n, theory, p, q):
+    """The (kernel, image) operator keys whose subquotient is h^{p,q}.
+
+    A joint operator with an empty half is named by its other half, the
+    same matrix, so that its rank is computed once: del out of (n,q) and
+    delbar out of (p,n) have no rows, del out of (-1,q) and delbar out of
+    (p,-1) have no columns.
+    """
     if theory == "dolbeault":
         return ("delbar", p, q), ("delbar", p, q - 1)
     if theory == "conj_dolbeault":
         return ("del", p, q), ("del", p - 1, q)
     if theory == "bott_chern":
-        return ("del|delbar", p, q), ("deldelbar", p - 1, q - 1)
+        closed = "delbar" if p == n else "del" if q == n else "del|delbar"
+        return (closed, p, q), ("deldelbar", p - 1, q - 1)
     if theory == "aeppli":
-        return ("deldelbar", p, q), ("del+delbar", p, q)
+        if p == 0:
+            exact = ("delbar", p, q - 1)
+        elif q == 0:
+            exact = ("del", p - 1, q)
+        else:
+            exact = ("del+delbar", p, q)
+        return ("deldelbar", p, q), exact
     raise ValueError("unknown theory %r (choose from %s)" % (theory, THEORIES))
 
 
 def hodge_number(spec: AlgebraSpec, theory: str, p: int, q: int) -> int:
     if not (0 <= p <= spec.n and 0 <= q <= spec.n):
         return 0
-    return _subquotient(spec, *_theory_keys(theory, p, q))
+    return _subquotient(spec, *_theory_keys(spec.n, theory, p, q))
 
 
 def hodge_table(spec: AlgebraSpec, theory: str) -> HodgeTable:
@@ -213,11 +197,16 @@ def class_representatives(spec: AlgebraSpec, theory: str, p: int, q: int):
     """
     if not (0 <= p <= spec.n and 0 <= q <= spec.n):
         return []
-    kernel_key, image_key = _theory_keys(theory, p, q)
+    kernel_key, image_key = _theory_keys(spec.n, theory, p, q)
     kernel_of, image = _operator(spec, kernel_key), _operator(spec, image_key)
     kernel_vectors = kernel_basis(kernel_of)
+    columns = {}
+    for i, row in enumerate(image.nonzeros()):
+        for j, z in row:
+            columns.setdefault(j, {})[i] = z
     image_columns = [
-        col for col in map(image.column, range(image.ncols)) if any(col)
+        tuple(columns[j].get(i, _ZERO) for i in range(image.nrows))
+        for j in sorted(columns)
     ]
     chosen = greedy_complement(image_columns, kernel_vectors)
     domain = kernel_of.cols
@@ -235,12 +224,12 @@ def natural_map_rank(spec: AlgebraSpec, p: int, q: int) -> int:
     del-image and a delbar-image, modulo del.delbar-images; its dimension
     is computed from ranks of concatenated operators."""
     h_bc = hodge_number(spec, "bott_chern", p, q)
-    image_key = ("del+delbar", p, q)
+    image_key = _theory_keys(spec.n, "aeppli", p, q)[1]
     image = _operator(spec, image_key)
     if image.ncols == 0:
         return h_bc
-    closed = _operator(spec, ("del|delbar", p, q))
-    exact_key = ("deldelbar", p - 1, q - 1)
+    closed_key, exact_key = _theory_keys(spec.n, "bott_chern", p, q)
+    closed = _operator(spec, closed_key)
     intersection_dim = _rank(spec, image_key, image) - rank(closed @ image)
     kernel_dim = intersection_dim - _rank(spec, exact_key, _operator(spec, exact_key))
     if kernel_dim < 0:

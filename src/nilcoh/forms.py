@@ -24,6 +24,7 @@ Worked examples::
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from .scalars import GaussianRational, ONE
 
@@ -117,6 +118,26 @@ class BasisForm:
 
 
 UNIT = BasisForm((), ())
+
+
+def component_basis(n: int, p: int, q: int):
+    """Canonical ordered basis of the (p,q) component (lex on (S,T)); empty
+    outside 0 <= p, q <= n."""
+    if p < 0 or q < 0 or p > n or q > n:
+        return ()
+    return tuple(
+        BasisForm(holo, anti)
+        for holo in combinations(range(1, n + 1), p)
+        for anti in combinations(range(1, n + 1), q)
+    )
+
+
+def degree_basis(n: int, k: int):
+    """Canonical ordered basis of the total degree-k space, by ascending p."""
+    out = []
+    for p in range(0, k + 1):
+        out.extend(component_basis(n, p, k - p))
+    return tuple(out)
 
 
 def wedge_basis(x: BasisForm, y: BasisForm):

@@ -1,11 +1,9 @@
 """Exact linear algebra over Q(i) for basis-indexed operator matrices.
 
 The operator matrices of a nilmanifold's complex are well under 1%
-nonzero, so the work is done on nonzero entries only.  Each
-:class:`IndexedMatrix` keeps, next to its dense ``entries``, the nonzero
-(column, value) pairs of every row; builders that know them pass them in,
-and otherwise they are found once.  The product multiplies nonzero by
-nonzero.
+nonzero, so an :class:`IndexedMatrix` stores only the nonzero (column,
+value) pairs of each row, and all the work is done on them.  The product
+multiplies nonzero by nonzero; a dense view is built only on request.
 
 One fraction-free echelon routine does all the elimination.  It clears
 each row's denominators, which changes neither rank nor kernel, keeps
@@ -47,27 +45,32 @@ class ContainmentError(Exception):
 
 
 class IndexedMatrix:
-    """A matrix whose rows and columns are labelled by basis data.
+    """A matrix whose rows and columns are labelled by basis data, stored
+    as its nonzeros.
 
-    ``entries[i][j]`` is the coefficient of row label ``rows[i]`` in the
-    image of column label ``cols[j]``.  :meth:`nonzeros` gives the nonzero
-    entries of each row.
+    ``nonzeros()[i]`` holds the (column index, value) pairs of the nonzero
+    entries of row ``rows[i]``; the entry in row ``rows[i]`` and column
+    ``cols[j]`` is the coefficient of ``rows[i]`` in the image of
+    ``cols[j]``.  ``entries`` is a dense view, built on each read.
     """
 
-    __slots__ = ("rows", "cols", "entries", "_nonzeros")
+    __slots__ = ("rows", "cols", "_nonzeros")
 
     def __init__(self, rows, cols, entries):
+        """Build from dense rows, one value per column label."""
         rows = tuple(rows)
         cols = tuple(cols)
-        entries = tuple(tuple(row) for row in entries)
+        entries = [tuple(row) for row in entries]
         if len(entries) != len(rows):
             raise ValueError("entry rows do not match row labels")
         if any(len(r) != len(cols) for r in entries):
             raise ValueError("entry columns do not match column labels")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_nonzeros", None)
+        self._store(rows, cols, map(_nonzero_pairs, entries))
+
+    def _store(self, rows, cols, nonzeros):
+        object.__setattr__(self, "rows", tuple(rows))
+        object.__setattr__(self, "cols", tuple(cols))
+        object.__setattr__(self, "_nonzeros", tuple(nonzeros))
 
     def __setattr__(self, name, value):
         raise AttributeError("IndexedMatrix is immutable")
@@ -81,41 +84,31 @@ class IndexedMatrix:
         return len(self.cols)
 
     @classmethod
-    def from_columns(cls, rows, cols, columns):
-        """Build from column vectors (each of length len(rows))."""
-        rows = tuple(rows)
-        entries = [
-            [columns[j][i] for j in range(len(columns))] for i in range(len(rows))
-        ]
-        return cls(rows, cols, entries)
-
-    @classmethod
     def from_nonzeros(cls, rows, cols, nonzeros):
         """Build from each row's (column index, value) pairs; pairs with a
         zero value are dropped."""
-        cols = tuple(cols)
-        nonzeros = tuple(tuple((j, z) for j, z in row if z) for row in nonzeros)
-        entries = []
-        for row in nonzeros:
-            dense = [_GR_ZERO] * len(cols)
-            for j, z in row:
-                dense[j] = z
-            entries.append(dense)
-        out = cls(rows, cols, entries)
-        object.__setattr__(out, "_nonzeros", nonzeros)
+        out = cls.__new__(cls)
+        out._store(rows, cols, (tuple((j, z) for j, z in row if z) for row in nonzeros))
         return out
 
     def nonzeros(self):
         """Per row, the (column index, value) pairs of its nonzero entries,
-        in column order unless the matrix was built from them."""
-        if self._nonzeros is None:
-            object.__setattr__(
-                self, "_nonzeros", tuple(_nonzero_pairs(row) for row in self.entries)
-            )
+        in column order unless the matrix was built from pairs."""
         return self._nonzeros
 
+    @property
+    def entries(self):
+        """The dense rows, as a tuple of tuples."""
+        out = []
+        for row in self._nonzeros:
+            dense = [_GR_ZERO] * len(self.cols)
+            for j, z in row:
+                dense[j] = z
+            out.append(tuple(dense))
+        return tuple(out)
+
     def column(self, j):
-        return tuple(self.entries[i][j] for i in range(self.nrows))
+        return tuple(dict(row).get(j, _GR_ZERO) for row in self._nonzeros)
 
     def __matmul__(self, other):
         if not isinstance(other, IndexedMatrix):
@@ -137,7 +130,7 @@ class IndexedMatrix:
             isinstance(other, IndexedMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and list(map(dict, self._nonzeros)) == list(map(dict, other._nonzeros))
         )
 
     __hash__ = None

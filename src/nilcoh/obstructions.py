@@ -30,12 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebra import AlgebraSpec, d, del_, direct_sum, validate
-from .cohomology import (
-    class_representatives,
-    component_basis,
-    hodge_number,
-    operator_matrix,
-)
+from .cohomology import class_representatives, hodge_number, operator_matrix
 from .forms import BasisForm, Form
 from .linalg import kernel_basis
 from .metrics import MetricForm, check_condition
@@ -93,9 +88,8 @@ class ObstructionReport:
 def holomorphic_one_forms(spec: AlgebraSpec):
     """Basis of delbar-closed (1,0)-forms, in canonical reduced form."""
     m = operator_matrix(spec, "delbar", 1, 0)
-    basis = component_basis(spec.n, 1, 0)
     return [
-        Form({bf: c for bf, c in zip(basis, vec) if c})
+        Form({bf: c for bf, c in zip(m.cols, vec) if c})
         for vec in kernel_basis(m)
     ]
 

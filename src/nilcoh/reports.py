@@ -23,7 +23,6 @@ import json
 from fractions import Fraction
 
 from .algebra import AlgebraSpec, ValidationReport
-from .cohomology import HodgeTable
 from .forms import Form
 from .metrics import CheckResult
 from .obstructions import ObstructionReport
@@ -98,21 +97,9 @@ def obstruction_json(report: ObstructionReport) -> dict:
     return out
 
 
-def emit_report(report) -> str:
-    """Serialize any report object (or a pre-assembled dict) to canonical
-    JSON text (2-space indent, fixed key order, trailing newline)."""
-    if isinstance(report, dict):
-        payload = report
-    elif isinstance(report, ValidationReport):
-        payload = validation_json(report)
-    elif isinstance(report, HodgeTable):
-        payload = {"hodge": hodge_json([report])}
-    elif isinstance(report, CheckResult):
-        payload = {"verdicts": {"metric": check_json(report)}}
-    elif isinstance(report, ObstructionReport):
-        payload = {"verdicts": obstruction_json(report)}
-    else:
-        raise TypeError("cannot emit a report for %r" % type(report))
+def emit_report(payload: dict) -> str:
+    """Serialize a report payload to canonical JSON text (2-space indent,
+    fixed key order, trailing newline)."""
     return json.dumps(payload, indent=2, ensure_ascii=True) + "\n"
 
 

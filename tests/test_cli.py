@@ -257,9 +257,3 @@ def test_byte_determinism(files, capsys):
         _, out, _ = run(capsys, ["table", files["iwasawa"], "--theory", "bc"])
         outs.add(out)
     assert len(outs) == 1
-
-
-def test_json_flag_is_accepted(files, capsys):
-    code, out, _ = run(capsys, ["table", files["iwasawa"], "--theory", "bc", "--json"])
-    assert code == 0
-    json.loads(out)

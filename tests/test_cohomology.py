@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from nilcoh.algebra import d, validate
+from nilcoh.algebra import d, del_, delbar, deldelbar, validate
 from nilcoh.catalog import (
     catalog_get,
     catalog_list,
@@ -18,15 +18,19 @@ from nilcoh.catalog import (
 from nilcoh.cohomology import (
     THEORIES,
     class_representatives,
+    d_matrix,
     derham_betti,
     hodge_number,
     hodge_table,
     natural_map_rank,
+    operator_matrix,
 )
-from nilcoh.forms import Form, alpha, alphabar
+from nilcoh.forms import Form, alpha, alphabar, component_basis, degree_basis
+from nilcoh.linalg import IndexedMatrix, hstack, rank, vstack
 from nilcoh.scalars import GaussianRational
 
 from oracle import OracleAlgebra, scalar_to_sympy
+from generators import random_two_step
 from test_algebra import rand_valid_spec
 
 
@@ -185,3 +189,70 @@ def test_natural_map_rank_raises_on_negative_kernel(monkeypatch):
     monkeypatch.setattr(nilcoh.cohomology, "rank", lambda m: true_rank(m) + 1)
     with pytest.raises(ArithmeticError):
         natural_map_rank(torus_spec(2), 1, 1)
+
+
+def _columnwise(fn, spec, domain, codomain):
+    """The matrix whose column j is fn applied to domain[j], every term of
+    which must lie in the codomain."""
+    images = [fn(spec, Form({bf: 1})) for bf in domain]
+    placed = set(codomain)
+    assert all(bf in placed for image in images for bf, _ in image.terms())
+    return IndexedMatrix(
+        codomain, domain, [[image.coefficient(bf) for image in images] for bf in codomain]
+    )
+
+
+def test_operator_matrices_equal_columnwise_images():
+    rng = random.Random(97)
+    shifts = {"del": (del_, 1, 0), "delbar": (delbar, 0, 1), "deldelbar": (deldelbar, 1, 1)}
+    for trial in range(8):
+        spec = random_two_step(rng, 1 + trial % 4, name="draw%d" % trial)
+        n = spec.n
+        for op, (fn, dp, dq) in shifts.items():
+            for p in range(-1, n + 1):
+                for q in range(-1, n + 1):
+                    expected = _columnwise(
+                        fn, spec, component_basis(n, p, q), component_basis(n, p + dp, q + dq)
+                    )
+                    assert operator_matrix(spec, op, p, q) == expected
+        for k in range(-1, 2 * n + 1):
+            expected = _columnwise(d, spec, degree_basis(n, k), degree_basis(n, k + 1))
+            assert d_matrix(spec, k) == expected
+
+
+def test_each_matrix_content_is_ranked_once(monkeypatch):
+    import nilcoh.cohomology
+
+    true_rank = nilcoh.cohomology.rank
+    ranked = []
+    monkeypatch.setattr(
+        nilcoh.cohomology, "rank", lambda m: ranked.append(m) or true_rank(m)
+    )
+    rng = random.Random(101)
+    for trial in range(3):
+        spec = random_two_step(rng, 4, name="draw%d" % trial)
+        ranked.clear()
+        for theory in THEORIES:
+            hodge_table(spec, theory)
+        contents = [(m.rows, m.cols, m.entries) for m in ranked if m.nrows and m.ncols]
+        assert len(contents) == len(set(contents))
+
+
+def test_natural_map_rank_equals_joint_operator_reference():
+    rng = random.Random(103)
+    for trial in range(6):
+        spec = random_two_step(rng, 1 + trial % 4, name="draw%d" % trial)
+        n = spec.n
+        for p in range(n + 1):
+            for q in range(n + 1):
+                closed = vstack(
+                    operator_matrix(spec, "del", p, q), operator_matrix(spec, "delbar", p, q)
+                )
+                image = hstack(
+                    operator_matrix(spec, "del", p - 1, q),
+                    operator_matrix(spec, "delbar", p, q - 1),
+                )
+                exact = operator_matrix(spec, "deldelbar", p - 1, q - 1)
+                kernel_dim = rank(image) - rank(closed @ image) - rank(exact)
+                h_bc = hodge_number(spec, "bott_chern", p, q)
+                assert natural_map_rank(spec, p, q) == h_bc - kernel_dim

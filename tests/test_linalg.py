@@ -190,6 +190,57 @@ def test_matmul_equals_dense_reference():
     assert (a @ b).entries == ((gr(0),),) and (a @ b).nonzeros() == ((),)
 
 
+def _dense_rows(rng, nr, nc, density):
+    return [
+        [
+            gr(Fraction(rng.randint(-5, 5), rng.randint(1, 3)), rng.randint(-2, 2))
+            if rng.random() < density
+            else gr(0)
+            for _ in range(nc)
+        ]
+        for _ in range(nr)
+    ]
+
+
+def test_indexed_matrix_stores_nonzeros_of_dense_rows():
+    rng = random.Random(89)
+    shapes = [(5, 7, 0.3), (6, 4, 0.9), (3, 3, 0.0), (0, 4, 0.5), (4, 0, 0.5), (0, 0, 0.5)]
+    for nr, nc, density in shapes:
+        rows = _dense_rows(rng, nr, nc, density)
+        m = IndexedMatrix(range(nr), range(nc), rows)
+        assert (m.nrows, m.ncols) == (nr, nc)
+        assert m.entries == tuple(tuple(row) for row in rows)
+        assert m.nonzeros() == tuple(
+            tuple((j, z) for j, z in enumerate(row) if z) for row in rows
+        )
+        for j in range(nc):
+            assert m.column(j) == tuple(row[j] for row in rows)
+        # equality reads the nonzeros, whatever order the pairs come in
+        shuffled = IndexedMatrix.from_nonzeros(
+            m.rows, m.cols, [rng.sample(row, len(row)) for row in m.nonzeros()]
+        )
+        assert shuffled == m and shuffled.entries == m.entries
+        for i, row in enumerate(shuffled.nonzeros()):
+            for j, z in row:
+                assert shuffled.column(j)[i] == z
+        if any(m.nonzeros()):
+            i = next(i for i, row in enumerate(rows) if any(row))
+            j = next(j for j, z in enumerate(rows[i]) if z)
+            rows[i][j] = rows[i][j] + gr(1, 1)
+            assert IndexedMatrix(range(nr), range(nc), rows) != m
+    # explicit zero pairs are dropped
+    m = IndexedMatrix.from_nonzeros(["r"], ["x", "y"], [[(1, gr(0)), (0, gr(2))]])
+    assert m.nonzeros() == (((0, gr(2)),),)
+    assert m == mat([[gr(2), gr(0)]], row_labels=["r"], col_labels=["x", "y"])
+    assert m != mat([[gr(2), gr(0)]], row_labels=["r"], col_labels=["x", "z"])
+    with pytest.raises(ValueError):
+        IndexedMatrix(range(2), range(2), [[gr(1), gr(0)]])
+    with pytest.raises(ValueError):
+        IndexedMatrix(range(1), range(2), [[gr(1)]])
+    with pytest.raises(AttributeError):
+        m.entries = ()
+
+
 def test_containment_error_pins_first_escaping_column():
     i = gr(0, 1)
     k = mat(
