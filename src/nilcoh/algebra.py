@@ -9,6 +9,10 @@ construction.  ``d`` extends to all forms as the unique anti-derivation,
 and splits as ``d = del + delbar`` into the components raising the first
 and second bidegree.
 
+``d`` of a monomial places each term g of d a_j straight past the rest of
+the monomial, with the sign of g ^ rest times (-1)^k for the factor's
+position k; one routine applies d, del or delbar to a form.
+
 The Jacobi identity of the dual Lie algebra is exactly ``d . d = 0``, and
 on an anti-derivation that only needs checking on generators.
 
@@ -23,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .forms import BasisForm, Form, degree_basis
+from .forms import BasisForm, Form, degree_basis, wedge_basis
 from .linalg import IndexedMatrix, kernel_basis, span_basis
 
 _ALLOWED_BIDEGREES = {(2, 0), (1, 1)}
@@ -99,6 +103,12 @@ class ValidationReport:
     nilpotent_J: bool = False
     filtration: list = field(default_factory=list)
 
+    @property
+    def validity(self) -> str:
+        """The validity label of results on this spec: ``nilpotent_J`` when
+        the nilpotency flag holds, ``ce_only`` otherwise."""
+        return "nilpotent_J" if self.nilpotent_J else "ce_only"
+
 
 # ---------------------------------------------------------------------------
 # the differential and its bidegree components
@@ -109,53 +119,56 @@ def _d_monomial(spec: AlgebraSpec, bf: BasisForm) -> Form:
     out = cache.get(bf)
     if out is not None:
         return out
-    total = Form()
-    factors = bf.factors()
-    for k, (is_anti, j) in enumerate(factors):
+    pairs = []
+    for k, (is_anti, j) in enumerate(bf.factors()):
         dj = spec.d_alphabar(j) if is_anti else spec.d_alpha(j)
-        if dj.is_zero():
+        if not dj:
             continue
+        koszul = -1 if k & 1 else 1
         if is_anti:
             rest = BasisForm(bf.holo, tuple(t for t in bf.anti if t != j))
         else:
             rest = BasisForm(tuple(s for s in bf.holo if s != j), bf.anti)
         # dj has even degree, so it slides to the front without a sign;
         # the Koszul sign (-1)^k records the factor position.
-        term = dj ^ Form({rest: 1})
-        total = total + (term if k % 2 == 0 else -term)
-    cache[bf] = total
-    return total
+        for g, c in dj.terms():
+            sign, w = wedge_basis(g, rest)
+            if sign:
+                pairs.append((w, c if sign * koszul > 0 else -c))
+    out = cache[bf] = Form(pairs)
+    return out
 
 
-def d(spec: AlgebraSpec, x: Form) -> Form:
-    """Total differential (anti-derivation extending the generator data)."""
+def _differentiate(spec: AlgebraSpec, x: Form, dp=None) -> Form:
+    """d of x, or with dp = 1 (dp = 0) only the terms of d of each monomial
+    that raise its p (its q): del (delbar) on each homogeneous piece."""
     if x.max_index() > spec.n:
         raise ValueError(
             "form references generator a%d beyond dimension %d"
             % (x.max_index(), spec.n)
         )
-    total = Form()
+    pairs = []
     for bf, c in x.terms():
-        total = total + _d_monomial(spec, bf) * c
-    return total
+        p = len(bf.holo)
+        for g, e in _d_monomial(spec, bf).terms():
+            if dp is None or len(g.holo) - p == dp:
+                pairs.append((g, c * e))
+    return Form(pairs)
+
+
+def d(spec: AlgebraSpec, x: Form) -> Form:
+    """Total differential (anti-derivation extending the generator data)."""
+    return _differentiate(spec, x)
 
 
 def del_(spec: AlgebraSpec, x: Form) -> Form:
     """The (p+1, q) component of d on each homogeneous piece."""
-    total = Form()
-    for bf, c in x.terms():
-        p, q = bf.bidegree()
-        total = total + _d_monomial(spec, bf).component(p + 1, q) * c
-    return total
+    return _differentiate(spec, x, 1)
 
 
 def delbar(spec: AlgebraSpec, x: Form) -> Form:
     """The (p, q+1) component of d on each homogeneous piece."""
-    total = Form()
-    for bf, c in x.terms():
-        p, q = bf.bidegree()
-        total = total + _d_monomial(spec, bf).component(p, q + 1) * c
-    return total
+    return _differentiate(spec, x, 0)
 
 
 def deldelbar(spec: AlgebraSpec, x: Form) -> Form:

@@ -44,7 +44,6 @@ from .obstructions import (
     jost_yau,
     kunneth_check,
     l_functional,
-    obstruction_report,
     torality_check,
 )
 from .scalars import GaussianRational, parse_scalar
@@ -206,7 +205,7 @@ def _fx_betti(entry):
 
 
 def _fx_validity(entry):
-    return "nilpotent_J" if validate(entry.spec).nilpotent_J else "ce_only"
+    return validate(entry.spec).validity
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .algebra import direct_sum, validate
 from .catalog import CatalogKeyError, catalog_get, catalog_list, run_suite
-from .cohomology import THEORIES, derham_betti, hodge_table
+from .cohomology import derham_betti, hodge_table
 from .dsl import StructureSyntaxError, format_structure_file, read_structure_file
 from .metrics import MetricForm, build_metric, check_condition, diagonal_metric
 from .obstructions import obstruction_report
@@ -60,7 +60,7 @@ def _read_hmatrix(path: str):
                 H[-1].append(
                     GaussianRational(Fraction(cell["re"]), Fraction(cell.get("im", "0")))
                 )
-            except (KeyError, TypeError, ValueError, ZeroDivisionError):
+            except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError):
                 raise ValueError(
                     '%s: H[%d][%d] is not a scalar {"re": p/q, "im": p/q}: %s'
                     % (path, i, j, json.dumps(cell))
@@ -80,6 +80,18 @@ def _metric_from_args(args, n: int) -> MetricForm:
             values.append(s.re)
         return diagonal_metric(n, values)
     return diagonal_metric(n)
+
+
+def _refuse_invalid(spec) -> bool:
+    """True when ``spec`` fails the Jacobi check, after printing its
+    validation payload (the command then exits 1); False otherwise."""
+    report = validate(spec)
+    if report.jacobi_ok:
+        return False
+    payload = spec_header(spec)
+    payload.update(validation_json(report))
+    sys.stdout.write(emit_report(payload))
+    return True
 
 
 def _cmd_validate(args) -> int:
@@ -109,11 +121,7 @@ def _cmd_table(args) -> int:
             % (args.theory, ", ".join(sorted(_THEORY_ALIASES)))
         )
     spec = read_structure_file(args.file)
-    report = validate(spec)
-    if not report.jacobi_ok:
-        payload = spec_header(spec)
-        payload.update(validation_json(report))
-        sys.stdout.write(emit_report(payload))
+    if _refuse_invalid(spec):
         return 1
     payload = spec_header(spec)
     if theory == "derham":
@@ -151,6 +159,8 @@ def _cmd_metric(args) -> int:
 
 def _cmd_obstruct(args) -> int:
     spec = read_structure_file(args.file)
+    if _refuse_invalid(spec):
+        return 1
     metric = None
     if getattr(args, "diag", None) or getattr(args, "hmatrix", None):
         metric = _metric_from_args(args, spec.n)

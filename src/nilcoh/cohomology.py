@@ -179,7 +179,7 @@ def hodge_table(spec: AlgebraSpec, theory: str) -> HodgeTable:
         theory=theory,
         n=spec.n,
         entries=entries,
-        validity="nilpotent_J" if report.nilpotent_J else "ce_only",
+        validity=report.validity,
     )
 
 

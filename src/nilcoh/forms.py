@@ -5,6 +5,9 @@ order: the holomorphic factors first in ascending index order, then the
 anti-holomorphic factors in ascending order.  ``S`` and ``T`` are strictly
 increasing index tuples, so a monomial of bidegree (p, q) has |S| = p and
 |T| = q.  A :class:`Form` is a finite Q(i)-linear combination of monomials.
+Its constructor is the one place that sums the coefficients of repeated
+monomials and drops zero ones: sum, negation, scalar multiple, wedge and
+conjugation each list their (monomial, coefficient) pairs and pass them to it.
 
 Sign conventions (fixed once, used everywhere):
 
@@ -26,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .scalars import GaussianRational, ONE
+from .scalars import GaussianRational
 
 _SCALAR_TYPES = (GaussianRational, int, Fraction)
 
@@ -155,8 +158,9 @@ class Form:
     """A Q(i)-linear combination of canonical monomials.
 
     Supports ``+``, ``-``, scalar ``*``, wedge via ``^``, and
-    :meth:`conjugate`.  Zero coefficients are dropped on construction, so
-    equality of forms is equality of term dictionaries.
+    :meth:`conjugate`.  The constructor takes a dict or an iterable of
+    (monomial, coefficient) pairs, sums repeated monomials and drops zero
+    coefficients, so equality of forms is equality of term dictionaries.
     """
 
     __slots__ = ("_terms",)
@@ -252,20 +256,7 @@ class Form:
     def __add__(self, other):
         if not isinstance(other, Form):
             return NotImplemented
-        data = dict(self._terms)
-        for bf, c in other._terms.items():
-            prev = data.get(bf)
-            if prev is None:
-                data[bf] = c
-            else:
-                s = prev + c
-                if s:
-                    data[bf] = s
-                else:
-                    del data[bf]
-        out = Form()
-        object.__setattr__(out, "_terms", data)
-        return out
+        return Form([*self._terms.items(), *other._terms.items()])
 
     def __sub__(self, other):
         if not isinstance(other, Form):
@@ -273,22 +264,14 @@ class Form:
         return self + (-other)
 
     def __neg__(self):
-        out = Form()
-        object.__setattr__(out, "_terms", {bf: -c for bf, c in self._terms.items()})
-        return out
+        return Form([(bf, -c) for bf, c in self._terms.items()])
 
     def __mul__(self, scalar):
         if not isinstance(scalar, _SCALAR_TYPES):
             return NotImplemented
         if not isinstance(scalar, GaussianRational):
             scalar = GaussianRational(scalar)
-        if not scalar:
-            return Form()
-        out = Form()
-        object.__setattr__(
-            out, "_terms", {bf: c * scalar for bf, c in self._terms.items()}
-        )
-        return out
+        return Form([(bf, c * scalar) for bf, c in self._terms.items()])
 
     __rmul__ = __mul__
 
@@ -296,37 +279,24 @@ class Form:
         """Wedge product (associative, graded-commutative)."""
         if not isinstance(other, Form):
             return NotImplemented
-        data = {}
+        pairs = []
         for bx, cx in self._terms.items():
             for by, cy in other._terms.items():
                 sign, bf = wedge_basis(bx, by)
-                if sign == 0:
-                    continue
-                c = cx * cy if sign > 0 else -(cx * cy)
-                prev = data.get(bf)
-                if prev is None:
-                    data[bf] = c
-                else:
-                    s = prev + c
-                    if s:
-                        data[bf] = s
-                    else:
-                        del data[bf]
-        out = Form()
-        object.__setattr__(out, "_terms", data)
-        return out
+                if sign:
+                    c = cx * cy
+                    pairs.append((bf, c if sign > 0 else -c))
+        return Form(pairs)
 
     def conjugate(self) -> "Form":
         """Antilinear conjugation: conj(c a_S^~a_T) =
         conj(c) (-1)^(|S||T|) a_T^~a_S."""
-        data = {}
+        pairs = []
         for bf, c in self._terms.items():
-            sign = -1 if (len(bf.holo) * len(bf.anti)) & 1 else 1
             cc = c.conjugate()
-            data[BasisForm(bf.anti, bf.holo)] = cc if sign > 0 else -cc
-        out = Form()
-        object.__setattr__(out, "_terms", data)
-        return out
+            odd = (len(bf.holo) * len(bf.anti)) & 1
+            pairs.append((BasisForm(bf.anti, bf.holo), -cc if odd else cc))
+        return Form(pairs)
 
     def shift(self, offset: int) -> "Form":
         return Form({bf.shift(offset): c for bf, c in self._terms.items()})

@@ -191,7 +191,7 @@ def obstruction_report(spec: AlgebraSpec, metric: MetricForm | None = None) -> O
         gap_verdict=gv.verdict,
         jost_yau=jy,
         torality=torality_check(spec),
-        validity="nilpotent_J" if report.nilpotent_J else "ce_only",
+        validity=report.validity,
         astheno_excluded=bool(excluded_by),
         excluded_by=excluded_by,
     )

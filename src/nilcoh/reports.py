@@ -20,7 +20,6 @@ appear anywhere.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .algebra import AlgebraSpec, ValidationReport
 from .forms import Form

@@ -17,6 +17,7 @@ from nilcoh.catalog import (
 from nilcoh.forms import Form, alpha, alphabar, conjugate
 from nilcoh.scalars import GaussianRational
 
+from generators import random_two_step
 from oracle import OracleAlgebra, form_to_mv, mv_equal, scalar_to_sympy
 from test_forms import rand_form
 
@@ -125,6 +126,18 @@ def test_d_matches_oracle():
             assert mv_equal(ours, theirs)
 
 
+def test_del_and_delbar_match_oracle():
+    rng = random.Random(97)
+    for k in range(12):
+        spec = random_two_step(rng, rng.randint(1, 4), name="draw%d" % k)
+        oracle = OracleAlgebra.from_spec(spec, scalar_to_sympy)
+        for _ in range(4):
+            f = rand_form(rng, spec.n)
+            mv = form_to_mv(f)
+            assert mv_equal(form_to_mv(del_(spec, f)), oracle.del_mv(mv))
+            assert mv_equal(form_to_mv(delbar(spec, f)), oracle.delbar_mv(mv))
+
+
 def test_validate_worked_examples():
     rep = validate(iwasawa_spec())
     assert rep.jacobi_ok and rep.nilpotent_J and rep.filtration == [4, 6]
@@ -190,5 +203,7 @@ def test_direct_sum_structure():
 
 def test_d_raises_on_out_of_range_indices():
     iw = iwasawa_spec()
-    with pytest.raises(ValueError):
-        d(iw, alpha(4))
+    for op in (d, del_, delbar, deldelbar):
+        for form in (alpha(4), alphabar(4), alpha(1) + (alpha(2) ^ alphabar(5))):
+            with pytest.raises(ValueError, match="beyond dimension 3"):
+                op(iw, form)

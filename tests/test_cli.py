@@ -194,6 +194,22 @@ def test_obstruct_iwasawa(files, capsys):
     assert v["metric_positive"] is True
 
 
+@pytest.mark.parametrize("metric", [[], ["--diag", "1,1,1"]])
+def test_obstruct_on_a_jacobi_failure_exits_one_like_table(tmp_path, capsys, metric):
+    path = tmp_path / "nonjacobi.alg"
+    path.write_text(
+        "algebra nonjacobi dim 3\nd a2 = (1) * a1 ^ ~a3\nd a3 = (1) * a1 ^ a2\n",
+        encoding="ascii",
+    )
+    table_code, table_out, _ = run(capsys, ["table", str(path)])
+    code, out, err = run(capsys, ["obstruct", str(path)] + metric)
+    assert table_code == 1 and code == 1
+    assert out == table_out and err == ""
+    payload = json.loads(out)
+    assert payload["valid"]["jacobi_ok"] is False
+    assert [f["generator"] for f in payload["valid"]["failures"]] == [2]
+
+
 def test_obstruct_without_metric(files, capsys):
     code, out, _ = run(capsys, ["obstruct", files["torus2"]])
     assert code == 0

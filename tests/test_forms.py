@@ -8,7 +8,7 @@ import pytest
 from nilcoh.forms import BasisForm, Form, alpha, alphabar, conjugate, wedge
 from nilcoh.scalars import GaussianRational
 
-from oracle import form_to_mv, mv_conj, mv_equal, mv_wedge
+from oracle import form_to_mv, mv_add, mv_conj, mv_equal, mv_wedge
 
 
 def rand_form(rng, n, max_terms=3):
@@ -130,3 +130,28 @@ def test_shift_relabels_generators():
     f = (alpha(1) ^ alphabar(2)) + alpha(2)
     g = f.shift(3)
     assert g == (alpha(4) ^ alphabar(5)) + alpha(5)
+
+
+def test_every_operation_drops_cancelled_terms():
+    rng = random.Random(41)
+    zero = GaussianRational(0)
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        f, g = rand_form(rng, n), rand_form(rng, n)
+        for cancelled in (f + (-f), f - f, f * 0, 0 * f, f * zero):
+            assert len(cancelled) == 0 and cancelled == Form()
+        rest = (f + g) + (-f)
+        assert len(rest) == len(g) and rest == g
+        both = f + conjugate(f)
+        expected = mv_add(form_to_mv(f), mv_conj(form_to_mv(f)))
+        assert len(both) == len(expected) and mv_equal(form_to_mv(both), expected)
+    bf = BasisForm((1,), (2,))
+    assert len(Form({bf: 0})) == 0
+    assert Form([(bf, 1), (bf, GaussianRational(0, 1)), (bf, -1)]) == Form({bf: GaussianRational(0, 1)})
+    assert len(Form([(bf, 1), (bf, -1)])) == 0
+    line = alpha(1) + alpha(2)
+    assert len(line ^ line) == 0
+    # conj(a1 ^ ~a1) = -(a1 ^ ~a1), so a real multiple cancels against it
+    x = GaussianRational(3) * (alpha(1) ^ alphabar(1))
+    assert len(x + conjugate(x)) == 0
+

@@ -1,0 +1,44 @@
+"""Every module of the package uses each name it imports."""
+
+import ast
+from pathlib import Path
+
+import nilcoh
+
+PACKAGE = Path(nilcoh.__file__).resolve().parent
+
+
+def unused_imports(source: str) -> list:
+    """Names bound by import statements in ``source`` that no expression
+    reads (``__future__`` imports excepted)."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_unused_imports_are_found():
+    source = (
+        "from __future__ import annotations\n"
+        "import json\nimport os.path\nfrom math import comb, gcd as g\n"
+        "print(json.dumps(comb(4, 2)))\n"
+    )
+    assert unused_imports(source) == [(3, "os"), (4, "g")]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert modules
+    found = {
+        p.name: unused
+        for p in modules
+        if (unused := unused_imports(p.read_text(encoding="utf-8")))
+    }
+    assert found == {}
