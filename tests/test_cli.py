@@ -254,6 +254,13 @@ def test_catalog_show_unknown_exits_two(capsys):
     assert "iwasawa" in err  # the message lists what exists
 
 
+@pytest.mark.parametrize("action", ["show", "suite"])
+def test_catalog_malformed_parametrized_key_exits_two(capsys, action):
+    code, out, err = run(capsys, ["catalog", action, "exnilp(4,A={(1,2):1},B=0)"])
+    assert code == 2 and out == ""
+    assert err == "matrix literal must look like [[...],[...]] or 0\n"
+
+
 def test_catalog_suite_subset(capsys):
     code, out, _ = run(capsys, ["catalog", "suite", "kodaira", "torus(1)"])
     assert code == 0
