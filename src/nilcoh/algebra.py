@@ -234,16 +234,20 @@ def nilpotency_filtration(spec: AlgebraSpec):
         prev_vectors = vectors
 
 
+def jacobi_failures(spec: AlgebraSpec) -> list:
+    """The Jacobi check: ``(i, d d a_i)`` for each generator a_i whose
+    d d a_i is nonzero (empty when d.d = 0)."""
+    return [
+        (i, dd) for i in range(1, spec.n + 1) if (dd := d(spec, spec.d_alpha(i)))
+    ]
+
+
 def validate(spec: AlgebraSpec) -> ValidationReport:
     """Jacobi check (d.d = 0 on generators) plus the nilpotency flag."""
     cached = spec._caches.get("validation")
     if cached is not None:
         return cached
-    failing = []
-    for i in range(1, spec.n + 1):
-        dd = d(spec, spec.d_alpha(i))
-        if dd:
-            failing.append((i, dd))
+    failing = jacobi_failures(spec)
     if failing:
         report = ValidationReport(jacobi_ok=False, failing_generators=failing)
     else:

@@ -19,6 +19,13 @@ Every fixture value carries a provenance label:
 * ``derived``    — produced by this package's exact computation and
   cross-checked against an independent brute-force oracle in the tests.
 
+A fixture is a row ``(name, provenance, expected)``, and its name selects
+the computation that ``run_suite`` compares with ``expected``: the table
+``_COMPUTE`` is the one place a name is bound to code.  Adding a fixture
+to an entry is one row; a new name is one more ``_COMPUTE`` entry.  The
+closed forms ``fps_lhs`` and ``exnilp_lhs`` and the Kunneth checks are
+recomputed from the family arguments an entry keeps in ``params``.
+
 ``run_suite`` recomputes every fixture from scratch and compares exactly.
 """
 
@@ -29,10 +36,11 @@ from fractions import Fraction
 from math import comb
 
 from .algebra import AlgebraSpec, direct_sum, validate
-from .cohomology import hodge_number, hodge_table, natural_map_rank
+from .cohomology import derham_betti, hodge_number, hodge_table, natural_map_rank
 from .forms import Form, alpha, alphabar
 from .metrics import (
     MetricForm,
+    _coefficient_grid,
     check_condition,
     diagonal_metric,
     exnilp_lhs,
@@ -55,19 +63,25 @@ class CatalogKeyError(KeyError):
 
 @dataclass
 class Fixture:
+    """One recorded value; ``name`` selects its computation in ``_COMPUTE``."""
+
     name: str
     provenance: str  # literature | trivial | derived
     expected: object
-    compute: object  # callable(entry) -> value comparable to expected
 
 
 @dataclass
 class CatalogEntry:
     key: str
     spec: AlgebraSpec
-    metric: MetricForm  # default test metric (diagonal identity)
     fixtures: list
     notes: str = ""
+    params: tuple = ()  # family arguments read by fps_lhs, exnilp_lhs, kunneth_*
+
+    @property
+    def metric(self) -> MetricForm:
+        """The default test metric, the diagonal identity."""
+        return diagonal_metric(self.spec.n)
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +123,6 @@ def fps_spec(A, B, C, D, E) -> AlgebraSpec:
 def exnilp_spec(n: int, A, B) -> AlgebraSpec:
     """d a_n = sum_{i<j<n} A_ij a_i^a_j + sum_{i,j<n} B_ij a_i^~a_j with all
     other generators closed; A strictly upper triangular."""
-    from .metrics import _coefficient_grid
-
     a = _coefficient_grid(n, A, "A")
     b = _coefficient_grid(n, B, "B")
     dn = Form()
@@ -130,141 +142,102 @@ def ones_matrix(m: int):
 
 
 # ---------------------------------------------------------------------------
-# fixture helpers (each computes one recomputable quantity)
+# fixture name -> computation
 
 
-def _fx_jacobi(entry):
-    return validate(entry.spec).jacobi_ok
+_COMPUTE = {
+    "jacobi_ok": lambda e: validate(e.spec).jacobi_ok,
+    "nilpotent_J": lambda e: validate(e.spec).nilpotent_J,
+    "validity": lambda e: validate(e.spec).validity,
+    "filtration": lambda e: list(validate(e.spec).filtration),
+    "h01_bc": lambda e: hodge_number(e.spec, "bott_chern", 0, 1),
+    "h01_bc_additive": lambda e: hodge_number(e.spec, "bott_chern", 0, 1),
+    "h01_aeppli": lambda e: hodge_number(e.spec, "aeppli", 0, 1),
+    "bc_table": lambda e: hodge_table(e.spec, "bott_chern").entries,
+    "betti": lambda e: derham_betti(e.spec),
+    "natural_rank_01": lambda e: natural_map_rank(e.spec, 0, 1),
+    "gap": lambda e: gap_verdict(e.spec).gap,
+    "gap_verdict": lambda e: gap_verdict(e.spec).verdict,
+    "jost_yau": lambda e: "pass" if jost_yau(e.spec).passed else "fail",
+    "jost_yau_witness": lambda e: (
+        "" if (w := jost_yau(e.spec).witness) is None else str(w)
+    ),
+    "kahler_identity": lambda e: check_condition(e.spec, e.metric, "kahler").holds,
+    "skt_identity": lambda e: check_condition(e.spec, e.metric, "skt").holds,
+    "astheno_identity": lambda e: check_condition(e.spec, e.metric, "astheno").holds,
+    "astheno_witness": lambda e: (
+        str(check_condition(e.spec, e.metric, "astheno").witness)
+    ),
+    "gauduchon_identity": lambda e: (
+        check_condition(e.spec, e.metric, "gauduchon").holds
+    ),
+    "l_rank_identity": lambda e: l_functional(e.spec, e.metric).rank,
+    "l_values_identity": lambda e: [
+        str(v) for v in l_functional(e.spec, e.metric).values
+    ],
+    "torality": lambda e: torality_check(e.spec),
+    "holomorphic_one_forms": lambda e: [str(f) for f in holomorphic_one_forms(e.spec)],
+    "fps_lhs": lambda e: str(fps_lhs(*e.params)),
+    "exnilp_lhs": lambda e: str(exnilp_lhs(*e.params)),
+    "kunneth_bc": lambda e: kunneth_check(*e.params).bc_additive,
+    "kunneth_aeppli": lambda e: kunneth_check(*e.params).aeppli_superadditive,
+}
 
 
-def _fx_nilpotent(entry):
-    return validate(entry.spec).nilpotent_J
-
-
-def _fx_filtration(entry):
-    return list(validate(entry.spec).filtration)
-
-
-def _fx_h01(theory):
-    return lambda entry: hodge_number(entry.spec, theory, 0, 1)
-
-
-def _fx_gap(entry):
-    return gap_verdict(entry.spec).gap
-
-
-def _fx_gap_verdict(entry):
-    return gap_verdict(entry.spec).verdict
-
-
-def _fx_jost_yau(entry):
-    return "pass" if jost_yau(entry.spec).passed else "fail"
-
-
-def _fx_jost_yau_witness(entry):
-    w = jost_yau(entry.spec).witness
-    return str(w) if w is not None else ""
-
-
-def _fx_check(cond):
-    return lambda entry: check_condition(entry.spec, entry.metric, cond).holds
-
-
-def _fx_check_witness(cond):
-    return lambda entry: str(check_condition(entry.spec, entry.metric, cond).witness)
-
-
-def _fx_l_rank(entry):
-    return l_functional(entry.spec, entry.metric).rank
-
-
-def _fx_l_values(entry):
-    return [str(v) for v in l_functional(entry.spec, entry.metric).values]
-
-
-def _fx_torality(entry):
-    return torality_check(entry.spec)
-
-
-def _fx_holo_forms(entry):
-    return [str(f) for f in holomorphic_one_forms(entry.spec)]
-
-
-def _fx_bc_table(entry):
-    return hodge_table(entry.spec, "bott_chern").entries
-
-
-def _fx_natural_rank(p, q):
-    return lambda entry: natural_map_rank(entry.spec, p, q)
-
-
-def _fx_betti(entry):
-    from .cohomology import derham_betti
-
-    return derham_betti(entry.spec)
-
-
-def _fx_validity(entry):
-    return validate(entry.spec).validity
+def _fixtures(rows):
+    return [Fixture(*row) for row in rows]
 
 
 # ---------------------------------------------------------------------------
-# named entries
+# families and named entries
 
 
-def _torus_entry(n: int) -> CatalogEntry:
-    fixtures = [
-        Fixture("jacobi_ok", "trivial", True, _fx_jacobi),
-        Fixture("nilpotent_J", "trivial", True, _fx_nilpotent),
-        Fixture("filtration", "trivial", [2 * n], _fx_filtration),
-        Fixture("h01_bc", "trivial", n, _fx_h01("bott_chern")),
-        Fixture("h01_aeppli", "trivial", n, _fx_h01("aeppli")),
-        Fixture("gap", "trivial", 0, _fx_gap),
-        Fixture("jost_yau", "trivial", "pass", _fx_jost_yau),
-        Fixture("kahler_identity", "trivial", True, _fx_check("kahler")),
-        Fixture("torality", "trivial", "consistent", _fx_torality),
+def _torus(n: int) -> CatalogEntry:
+    rows = [
+        ("jacobi_ok", "trivial", True),
+        ("nilpotent_J", "trivial", True),
+        ("filtration", "trivial", [2 * n]),
+        ("h01_bc", "trivial", n),
+        ("h01_aeppli", "trivial", n),
+        ("gap", "trivial", 0),
+        ("jost_yau", "trivial", "pass"),
+        ("kahler_identity", "trivial", True),
+        ("torality", "trivial", "consistent"),
     ]
     if n <= 4:
         table = [[comb(n, p) * comb(n, q) for q in range(n + 1)] for p in range(n + 1)]
-        fixtures.append(Fixture("bc_table", "trivial", table, _fx_bc_table))
+        rows.append(("bc_table", "trivial", table))
     return CatalogEntry(
         key="torus(%d)" % n,
         spec=torus_spec(n),
-        metric=diagonal_metric(n),
-        fixtures=fixtures,
+        fixtures=_fixtures(rows),
         notes="Abelian structure: all hodge tables are products of binomial "
         "coefficients, every diagonal metric is Kahler.",
     )
 
 
-def _iwasawa_entry() -> CatalogEntry:
-    fixtures = [
-        Fixture("jacobi_ok", "trivial", True, _fx_jacobi),
-        Fixture("nilpotent_J", "derived", True, _fx_nilpotent),
-        Fixture("filtration", "derived", [4, 6], _fx_filtration),
-        Fixture("h01_bc", "literature", 2, _fx_h01("bott_chern")),
-        Fixture("h01_aeppli", "literature", 3, _fx_h01("aeppli")),
-        Fixture("gap", "literature", 1, _fx_gap),
-        Fixture("gap_verdict", "derived", "compatible_gap1", _fx_gap_verdict),
-        Fixture("jost_yau", "literature", "fail", _fx_jost_yau),
-        Fixture("jost_yau_witness", "derived", "(1)*a3", _fx_jost_yau_witness),
-        Fixture("astheno_identity", "derived", False, _fx_check("astheno")),
-        Fixture(
-            "astheno_witness",
-            "derived",
-            "(-1i)*a1^a2^~a1^~a2",
-            _fx_check_witness("astheno"),
-        ),
-        Fixture("gauduchon_identity", "derived", True, _fx_check("gauduchon")),
-        Fixture("l_rank_identity", "derived", 0, _fx_l_rank),
-        Fixture("betti", "derived", [1, 4, 8, 10, 8, 4, 1], _fx_betti),
-        Fixture("natural_rank_01", "derived", 2, _fx_natural_rank(0, 1)),
+def _iwasawa() -> CatalogEntry:
+    rows = [
+        ("jacobi_ok", "trivial", True),
+        ("nilpotent_J", "derived", True),
+        ("filtration", "derived", [4, 6]),
+        ("h01_bc", "literature", 2),
+        ("h01_aeppli", "literature", 3),
+        ("gap", "literature", 1),
+        ("gap_verdict", "derived", "compatible_gap1"),
+        ("jost_yau", "literature", "fail"),
+        ("jost_yau_witness", "derived", "(1)*a3"),
+        ("astheno_identity", "derived", False),
+        ("astheno_witness", "derived", "(-1i)*a1^a2^~a1^~a2"),
+        ("gauduchon_identity", "derived", True),
+        ("l_rank_identity", "derived", 0),
+        ("betti", "derived", [1, 4, 8, 10, 8, 4, 1]),
+        ("natural_rank_01", "derived", 2),
     ]
     return CatalogEntry(
         key="iwasawa",
         spec=iwasawa_spec(),
-        metric=diagonal_metric(3),
-        fixtures=fixtures,
+        fixtures=_fixtures(rows),
         notes="Complex Heisenberg structure.  The (0,1) gap is 1 yet no "
         "astheno-Kahler metric exists: a3 is holomorphic but not closed, "
         "and del delbar omega is a nonzero volume-type form for the "
@@ -274,54 +247,52 @@ def _iwasawa_entry() -> CatalogEntry:
     )
 
 
-def _kodaira_entry() -> CatalogEntry:
-    fixtures = [
-        Fixture("jacobi_ok", "trivial", True, _fx_jacobi),
-        Fixture("nilpotent_J", "derived", True, _fx_nilpotent),
-        Fixture("filtration", "derived", [3, 4], _fx_filtration),
-        Fixture("h01_bc", "derived", 1, _fx_h01("bott_chern")),
-        Fixture("h01_aeppli", "derived", 2, _fx_h01("aeppli")),
-        Fixture("gap", "literature", 1, _fx_gap),
-        Fixture("gap_verdict", "derived", "compatible_gap1", _fx_gap_verdict),
-        Fixture("holomorphic_one_forms", "derived", ["(1)*a1"], _fx_holo_forms),
-        Fixture("jost_yau", "derived", "pass", _fx_jost_yau),
-        Fixture("skt_identity", "derived", True, _fx_check("skt")),
-        Fixture("astheno_identity", "trivial", True, _fx_check("astheno")),
-        Fixture("gauduchon_identity", "derived", True, _fx_check("gauduchon")),
-        Fixture("l_rank_identity", "derived", 1, _fx_l_rank),
-        Fixture("l_values_identity", "derived", ["0", "1i"], _fx_l_values),
-        Fixture("torality", "derived", "consistent", _fx_torality),
+def _kodaira() -> CatalogEntry:
+    rows = [
+        ("jacobi_ok", "trivial", True),
+        ("nilpotent_J", "derived", True),
+        ("filtration", "derived", [3, 4]),
+        ("h01_bc", "derived", 1),
+        ("h01_aeppli", "derived", 2),
+        ("gap", "literature", 1),
+        ("gap_verdict", "derived", "compatible_gap1"),
+        ("holomorphic_one_forms", "derived", ["(1)*a1"]),
+        ("jost_yau", "derived", "pass"),
+        ("skt_identity", "derived", True),
+        ("astheno_identity", "trivial", True),
+        ("gauduchon_identity", "derived", True),
+        ("l_rank_identity", "derived", 1),
+        ("l_values_identity", "derived", ["0", "1i"]),
+        ("torality", "derived", "consistent"),
     ]
     return CatalogEntry(
         key="kodaira",
         spec=kodaira_spec(),
-        metric=diagonal_metric(2),
-        fixtures=fixtures,
+        fixtures=_fixtures(rows),
         notes="Primary Kodaira-surface structure: the identity metric is "
         "SKT (n=2 makes astheno trivially true), the (0,1) gap is exactly "
         "1, and the L functional detects it with rank 1.",
     )
 
 
-def _nakamura_entry() -> CatalogEntry:
-    fixtures = [
-        Fixture("jacobi_ok", "trivial", True, _fx_jacobi),
-        Fixture("nilpotent_J", "derived", False, _fx_nilpotent),
-        Fixture("validity", "derived", "ce_only", _fx_validity),
-        Fixture("filtration", "derived", [2, 2], _fx_filtration),
-        Fixture("h01_bc", "derived", 1, _fx_h01("bott_chern")),
-        Fixture("h01_aeppli", "derived", 3, _fx_h01("aeppli")),
-        Fixture("gap", "derived", 2, _fx_gap),
-        Fixture("gap_verdict", "derived", "excluded", _fx_gap_verdict),
-        Fixture("jost_yau", "derived", "fail", _fx_jost_yau),
-        Fixture("jost_yau_witness", "derived", "(1)*a2", _fx_jost_yau_witness),
-        Fixture("torality", "derived", "not_applicable", _fx_torality),
+def _nakamura_ce() -> CatalogEntry:
+    rows = [
+        ("jacobi_ok", "trivial", True),
+        ("nilpotent_J", "derived", False),
+        ("validity", "derived", "ce_only"),
+        ("filtration", "derived", [2, 2]),
+        ("h01_bc", "derived", 1),
+        ("h01_aeppli", "derived", 3),
+        ("gap", "derived", 2),
+        ("gap_verdict", "derived", "excluded"),
+        ("jost_yau", "derived", "fail"),
+        ("jost_yau_witness", "derived", "(1)*a2"),
+        ("torality", "derived", "not_applicable"),
     ]
     return CatalogEntry(
         key="nakamura_ce",
         spec=nakamura_ce_spec(),
-        metric=diagonal_metric(3),
-        fixtures=fixtures,
+        fixtures=_fixtures(rows),
         notes="Completely solvable (not nilpotent) structure: the flag "
         "stalls at [2, 2], so every verdict is about the invariant complex "
         "only (ce_only).  At this level the (0,1) pair is (1, 3) and the "
@@ -331,99 +302,61 @@ def _nakamura_entry() -> CatalogEntry:
     )
 
 
-def _fps_entry(scalars, *, key=None) -> CatalogEntry:
-    A, B, C, D, E = scalars
-    lhs = fps_lhs(A, B, C, D, E)
-    entry_key = key or "fps_skt(%s)" % ",".join(str(s) for s in scalars)
-    fixtures = [
-        Fixture("jacobi_ok", "trivial", True, _fx_jacobi),
-        Fixture("fps_lhs", "derived", str(lhs), lambda e: str(fps_lhs(A, B, C, D, E))),
-        Fixture("skt_identity", "derived", lhs == 0, _fx_check("skt")),
+def _fps(scalars, extra=()) -> CatalogEntry:
+    scalars = tuple(GaussianRational(0) + s for s in scalars)
+    lhs = fps_lhs(*scalars)
+    rows = [
+        ("jacobi_ok", "trivial", True),
+        ("fps_lhs", "derived", str(lhs)),
+        ("skt_identity", "derived", lhs == 0),
     ]
     if lhs == 0:
-        fixtures += [
-            Fixture("astheno_identity", "trivial", True, _fx_check("astheno")),
-            Fixture("gauduchon_identity", "derived", True, _fx_check("gauduchon")),
+        rows += [
+            ("astheno_identity", "trivial", True),
+            ("gauduchon_identity", "derived", True),
         ]
     return CatalogEntry(
-        key=entry_key,
-        spec=fps_spec(*(GaussianRational(0) + s for s in scalars)),
-        metric=diagonal_metric(3),
-        fixtures=fixtures,
+        key="fps_skt(%s)" % ",".join(str(s) for s in scalars),
+        spec=fps_spec(*scalars),
+        fixtures=_fixtures(rows + list(extra)),
         notes="Six-dimensional SKT family: the closed-form left-hand side "
         "vanishes exactly when del delbar omega does (identity metric).",
+        params=scalars,
     )
 
 
-def _fps_named_zero() -> CatalogEntry:
-    entry = _fps_entry(
-        [
-            GaussianRational(0),
-            GaussianRational(1),
-            GaussianRational(-1),
-            GaussianRational(1),
-            GaussianRational(1),
-        ],
-        key="fps_skt(0,1,-1,1,1)",
-    )
-    entry.fixtures += [
-        Fixture("nilpotent_J", "derived", True, _fx_nilpotent),
-        Fixture("h01_bc", "derived", 2, _fx_h01("bott_chern")),
-        Fixture("h01_aeppli", "derived", 3, _fx_h01("aeppli")),
-        Fixture("gap", "derived", 1, _fx_gap),
-        Fixture("l_rank_identity", "derived", 1, _fx_l_rank),
-        Fixture("torality", "derived", "consistent", _fx_torality),
-    ]
-    return entry
-
-
-def _fps_named_one() -> CatalogEntry:
-    return _fps_entry(
-        [
-            GaussianRational(1),
-            GaussianRational(0),
-            GaussianRational(0),
-            GaussianRational(0),
-            GaussianRational(0),
-        ],
-        key="fps_skt(1,0,0,0,0)",
-    )
-
-
-def _exnilp_entry(n, A, B, *, key, extra_fixtures=(), notes="") -> CatalogEntry:
+def _exnilp(n, A, B, *, key, extra=(), notes="") -> CatalogEntry:
     lhs = exnilp_lhs(n, A, B)
-    spec = exnilp_spec(n, A, B)
-    fixtures = [
-        Fixture("jacobi_ok", "trivial", True, _fx_jacobi),
-        Fixture("nilpotent_J", "derived", True, _fx_nilpotent),
-        Fixture("exnilp_lhs", "derived", str(lhs), lambda e: str(exnilp_lhs(n, A, B))),
-        Fixture("astheno_identity", "derived", lhs == 0, _fx_check("astheno")),
-        Fixture("gauduchon_identity", "derived", True, _fx_check("gauduchon")),
-    ] + list(extra_fixtures)
+    rows = [
+        ("jacobi_ok", "trivial", True),
+        ("nilpotent_J", "derived", True),
+        ("exnilp_lhs", "derived", str(lhs)),
+        ("astheno_identity", "derived", lhs == 0),
+        ("gauduchon_identity", "derived", True),
+    ]
     return CatalogEntry(
         key=key,
-        spec=spec,
-        metric=diagonal_metric(n),
-        fixtures=fixtures,
+        spec=exnilp_spec(n, A, B),
+        fixtures=_fixtures(rows + list(extra)),
         notes=notes
         or "One non-closed generator over an abelian core; astheno for the "
         "identity metric iff sum|A|^2 + sum|B|^2 = |tr B|^2.",
+        params=(n, A, B),
     )
 
 
 def _exnilp_ones(n: int) -> CatalogEntry:
-    extra = [
-        Fixture("gap", "derived", 1, _fx_gap),
-        Fixture("l_rank_identity", "derived", 1, _fx_l_rank),
-        Fixture("jost_yau", "derived", "pass", _fx_jost_yau),
-        Fixture("torality", "derived", "consistent", _fx_torality),
-    ]
-    return _exnilp_entry(
+    return _exnilp(
         n,
         0,
         ones_matrix(n - 1),
         key="exnilp_ones(%d)" % n,
-        extra_fixtures=extra,
+        extra=[
+            ("gap", "derived", 1),
+            ("l_rank_identity", "derived", 1),
+            ("jost_yau", "derived", "pass"),
+            ("torality", "derived", "consistent"),
+        ],
         notes="All-ones B (rank one), A = 0: the left-hand side vanishes "
         "for every n, the identity metric is astheno-Kahler, and the "
         "(0,1) gap of 1 is detected by the L functional (rank 1), so "
@@ -431,12 +364,51 @@ def _exnilp_ones(n: int) -> CatalogEntry:
     )
 
 
-def _exnilp_sign_check() -> CatalogEntry:
-    B = [[1, 1], [1, -1]]
-    return _exnilp_entry(
+def _product(k1: str, k2: str, extra=(), notes="") -> CatalogEntry:
+    left = catalog_get(k1).spec
+    right = catalog_get(k2).spec
+    bc = sum(hodge_number(spec, "bott_chern", 0, 1) for spec in (left, right))
+    rows = [
+        ("jacobi_ok", "trivial", True),
+        ("h01_bc_additive", "derived", bc),
+        ("kunneth_bc", "derived", True),
+        ("kunneth_aeppli", "derived", True),
+    ]
+    return CatalogEntry(
+        key="product(%s,%s)" % (k1, k2),
+        spec=direct_sum(left, right),
+        fixtures=_fixtures(rows + list(extra)),
+        notes=notes or "Direct sum of %s and %s." % (k1, k2),
+        params=(left, right),
+    )
+
+
+_NAMED = {
+    "torus(1)": lambda: _torus(1),
+    "torus(2)": lambda: _torus(2),
+    "torus(3)": lambda: _torus(3),
+    "torus(4)": lambda: _torus(4),
+    "iwasawa": _iwasawa,
+    "kodaira": _kodaira,
+    "nakamura_ce": _nakamura_ce,
+    "fps_skt(0,1,-1,1,1)": lambda: _fps(
+        (0, 1, -1, 1, 1),
+        extra=[
+            ("nilpotent_J", "derived", True),
+            ("h01_bc", "derived", 2),
+            ("h01_aeppli", "derived", 3),
+            ("gap", "derived", 1),
+            ("l_rank_identity", "derived", 1),
+            ("torality", "derived", "consistent"),
+        ],
+    ),
+    "fps_skt(1,0,0,0,0)": lambda: _fps((1, 0, 0, 0, 0)),
+    "exnilp_ones(3)": lambda: _exnilp_ones(3),
+    "exnilp_ones(4)": lambda: _exnilp_ones(4),
+    "exnilp_sign_check(3)": lambda: _exnilp(
         3,
         0,
-        B,
+        [[1, 1], [1, -1]],
         key="exnilp_sign_check(3)",
         notes="Sign-convention regression fixture: with B = [[1,1],[1,-1]] "
         "the two cross terms 2 Re(B11 conj(B22)) = -2 cancel the "
@@ -445,93 +417,37 @@ def _exnilp_sign_check() -> CatalogEntry:
         "correspondence A->E, C->B11, D->B12, -A_fps->B21, -B_fps->B22) "
         "fixes the minus sign, so the left-hand side is 4 and the identity "
         "metric is not astheno-Kahler here.",
-    )
-
-
-def _exnilp_mixed() -> CatalogEntry:
-    i = GaussianRational(0, 1)
-    h = Fraction(1, 2)
-    B = [[i, h], [h, i]]
-    A = {(1, 2): 1}
-    return _exnilp_entry(
+    ),
+    "exnilp_mixed(3)": lambda: _exnilp(
         3,
-        A,
-        B,
+        {(1, 2): 1},
+        [
+            [GaussianRational(0, 1), Fraction(1, 2)],
+            [Fraction(1, 2), GaussianRational(0, 1)],
+        ],
         key="exnilp_mixed(3)",
         notes="Nonzero A and B with imaginary diagonal: the left-hand side "
         "is -1/2 (it would be 7/2 with the opposite sign on the trace "
         "term), nonzero either way, so the identity metric is not "
         "astheno-Kahler; a useful negative fixture exercising complex "
         "coefficients.",
-    )
-
-
-def _product_entry(k1: str, k2: str) -> CatalogEntry:
-    left = catalog_get(k1)
-    right = catalog_get(k2)
-    spec = direct_sum(left.spec, right.spec)
-    bc = hodge_number(left.spec, "bott_chern", 0, 1) + hodge_number(
-        right.spec, "bott_chern", 0, 1
-    )
-    fixtures = [
-        Fixture("jacobi_ok", "trivial", True, _fx_jacobi),
-        Fixture("h01_bc_additive", "derived", bc, _fx_h01("bott_chern")),
-        Fixture(
-            "kunneth_bc",
-            "derived",
-            True,
-            lambda e: kunneth_check(left.spec, right.spec).bc_additive,
-        ),
-        Fixture(
-            "kunneth_aeppli",
-            "derived",
-            True,
-            lambda e: kunneth_check(left.spec, right.spec).aeppli_superadditive,
-        ),
-    ]
-    return CatalogEntry(
-        key="product(%s,%s)" % (k1, k2),
-        spec=spec,
-        metric=diagonal_metric(spec.n),
-        fixtures=fixtures,
-        notes="Direct sum of %s and %s." % (k1, k2),
-    )
-
-
-def _product_kodaira_torus() -> CatalogEntry:
-    entry = _product_entry("kodaira", "torus(1)")
-    entry.fixtures += [
-        Fixture("nilpotent_J", "derived", True, _fx_nilpotent),
-        Fixture("h01_aeppli", "derived", 3, _fx_h01("aeppli")),
-        Fixture("gap", "derived", 1, _fx_gap),
-        Fixture("skt_identity", "derived", True, _fx_check("skt")),
-        Fixture("astheno_identity", "derived", True, _fx_check("astheno")),
-        Fixture("l_rank_identity", "derived", 1, _fx_l_rank),
-        Fixture("torality", "derived", "consistent", _fx_torality),
-    ]
-    entry.notes = (
-        "Kodaira-surface structure times a 1-torus: n=3, the identity "
+    ),
+    "product(kodaira,torus(1))": lambda: _product(
+        "kodaira",
+        "torus(1)",
+        extra=[
+            ("nilpotent_J", "derived", True),
+            ("h01_aeppli", "derived", 3),
+            ("gap", "derived", 1),
+            ("skt_identity", "derived", True),
+            ("astheno_identity", "derived", True),
+            ("l_rank_identity", "derived", 1),
+            ("torality", "derived", "consistent"),
+        ],
+        notes="Kodaira-surface structure times a 1-torus: n=3, the identity "
         "metric stays SKT (= astheno here), and the gap of 1 persists "
-        "with L-rank 1."
-    )
-    return entry
-
-
-_NAMED = {
-    "torus(1)": lambda: _torus_entry(1),
-    "torus(2)": lambda: _torus_entry(2),
-    "torus(3)": lambda: _torus_entry(3),
-    "torus(4)": lambda: _torus_entry(4),
-    "iwasawa": _iwasawa_entry,
-    "kodaira": _kodaira_entry,
-    "nakamura_ce": _nakamura_entry,
-    "fps_skt(0,1,-1,1,1)": _fps_named_zero,
-    "fps_skt(1,0,0,0,0)": _fps_named_one,
-    "exnilp_ones(3)": lambda: _exnilp_ones(3),
-    "exnilp_ones(4)": lambda: _exnilp_ones(4),
-    "exnilp_sign_check(3)": _exnilp_sign_check,
-    "exnilp_mixed(3)": _exnilp_mixed,
-    "product(kodaira,torus(1))": _product_kodaira_torus,
+        "with L-rank 1.",
+    ),
 }
 
 
@@ -594,13 +510,13 @@ def catalog_get(key: str) -> CatalogEntry:
     args = _split_top(rest[:-1])
     try:
         if head == "torus":
-            return _torus_entry(int(args[0]))
+            return _torus(int(args[0]))
         if head == "exnilp_ones":
             return _exnilp_ones(int(args[0]))
         if head == "fps_skt":
             if len(args) != 5:
                 raise CatalogKeyError("fps_skt wants five scalars")
-            return _fps_entry([parse_scalar(a) for a in args])
+            return _fps([parse_scalar(a) for a in args])
         if head == "exnilp":
             if len(args) != 3:
                 raise CatalogKeyError("exnilp wants (n, A=..., B=...)")
@@ -611,13 +527,11 @@ def catalog_get(key: str) -> CatalogEntry:
                 named[tag.strip()] = _parse_matrix(value)
             if set(named) != {"A", "B"}:
                 raise CatalogKeyError("exnilp wants A= and B= arguments")
-            return _exnilp_entry(
-                n, named["A"], named["B"], key="exnilp(%s)" % ",".join(args)
-            )
+            return _exnilp(n, named["A"], named["B"], key="exnilp(%s)" % ",".join(args))
         if head == "product":
             if len(args) != 2:
                 raise CatalogKeyError("product wants two catalog keys")
-            return _product_entry(args[0], args[1])
+            return _product(args[0], args[1])
     except CatalogKeyError:
         raise
     except (ValueError, IndexError) as exc:
@@ -639,7 +553,7 @@ def run_suite(keys=None):
         rows = []
         entry_ok = True
         for fx in entry.fixtures:
-            computed = fx.compute(entry)
+            computed = _COMPUTE[fx.name](entry)
             ok = computed == fx.expected
             entry_ok &= ok
             rows.append(

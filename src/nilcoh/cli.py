@@ -13,7 +13,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .algebra import direct_sum, validate
+from .algebra import ValidationReport, direct_sum, jacobi_failures, validate
 from .catalog import CatalogKeyError, catalog_get, catalog_list, run_suite
 from .cohomology import derham_betti, hodge_table
 from .dsl import StructureSyntaxError, format_structure_file, read_structure_file
@@ -84,11 +84,13 @@ def _metric_from_args(args, n: int) -> MetricForm:
 
 def _refuse_invalid(spec) -> bool:
     """True when ``spec`` fails the Jacobi check, after printing its
-    validation payload (the command then exits 1); False otherwise."""
-    report = validate(spec)
-    if report.jacobi_ok:
+    validation payload (the command then exits 1); False otherwise.  Only
+    d.d on the generators is checked, not the nilpotency flag."""
+    failing = jacobi_failures(spec)
+    if not failing:
         return False
     payload = spec_header(spec)
+    report = ValidationReport(jacobi_ok=False, failing_generators=failing)
     payload.update(validation_json(report))
     sys.stdout.write(emit_report(payload))
     return True
@@ -149,6 +151,9 @@ def _cmd_metric(args) -> int:
     spec = read_structure_file(args.file)
     metric = _metric_from_args(args, spec.n)
     result = check_condition(spec, metric, args.check)
+    # refused only after --check is read, so a malformed option exits 2
+    if _refuse_invalid(spec):
+        return 1
     verdict = check_json(result)
     verdict["positive"] = metric.is_positive()
     payload = spec_header(spec)
@@ -197,6 +202,8 @@ def _cmd_catalog(args) -> int:
     if args.action == "show":
         if not args.keys:
             return _fail_usage("catalog show needs a KEY")
+        if len(args.keys) > 1:
+            return _fail_usage("catalog show takes one KEY, got %d" % len(args.keys))
         entry = catalog_get(args.keys[0])
         payload = {
             "key": entry.key,

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import factorial, prod
 
 from .algebra import AlgebraSpec, d, deldelbar
@@ -281,8 +282,6 @@ def _pluriclosed(spec, m, label, exponent) -> CheckResult:
 def scan_diagonal_metrics(spec: AlgebraSpec, values, cond: str):
     """Check ``cond`` over the grid of diagonal metrics with entries drawn
     from ``values`` (a positive-rational list); yields (diag, CheckResult)."""
-    from itertools import product
-
     for diag in product(values, repeat=spec.n):
         yield diag, check_condition(spec, diagonal_metric(spec.n, list(diag)), cond)
 

@@ -1,13 +1,17 @@
 """Catalog keys, parametrized families, and the self-checking suite."""
 
+import json
+
 import pytest
 
+from nilcoh import catalog
 from nilcoh.catalog import (
     CatalogKeyError,
     catalog_get,
     catalog_list,
     run_suite,
 )
+from nilcoh.cli import main
 
 
 def test_named_keys_are_stable():
@@ -95,12 +99,29 @@ def test_run_suite_subset():
     assert ok and len(summary["entries"]) == 1
 
 
-def test_run_suite_detects_tampering(monkeypatch):
-    entry = catalog_get("kodaira")
-    entry.fixtures[0].expected = "wrong"
-    rows = []
-    all_ok = True
-    for fx in entry.fixtures:
-        computed = fx.compute(entry)
-        all_ok &= computed == fx.expected
-    assert not all_ok
+@pytest.fixture
+def tampered_kodaira(monkeypatch):
+    """Make the suite build ``kodaira`` with its gap recorded as 2, not 1."""
+    build = catalog._NAMED["kodaira"]
+
+    def tampered():
+        entry = build()
+        for fx in entry.fixtures:
+            if fx.name == "gap":
+                fx.expected = 2
+        return entry
+
+    monkeypatch.setitem(catalog._NAMED, "kodaira", tampered)
+
+
+def test_run_suite_detects_tampering(tampered_kodaira, capsys):
+    ok, summary = run_suite(["kodaira", "torus(1)"])
+    assert ok is False and summary["ok"] is False
+    kodaira, torus = summary["entries"]
+    assert kodaira["ok"] is False and torus["ok"] is True
+    assert [fx for fx in kodaira["fixtures"] if not fx["ok"]] == [
+        {"name": "gap", "provenance": "literature", "expected": 2, "computed": 1, "ok": False}
+    ]
+
+    assert main(["catalog", "suite", "kodaira"]) == 1
+    assert json.loads(capsys.readouterr().out)["ok"] is False

@@ -194,20 +194,45 @@ def test_obstruct_iwasawa(files, capsys):
     assert v["metric_positive"] is True
 
 
-@pytest.mark.parametrize("metric", [[], ["--diag", "1,1,1"]])
-def test_obstruct_on_a_jacobi_failure_exits_one_like_table(tmp_path, capsys, metric):
+@pytest.fixture
+def nonjacobi(tmp_path):
+    """A structure file whose d fails d.d = 0 on a2."""
     path = tmp_path / "nonjacobi.alg"
     path.write_text(
         "algebra nonjacobi dim 3\nd a2 = (1) * a1 ^ ~a3\nd a3 = (1) * a1 ^ a2\n",
         encoding="ascii",
     )
-    table_code, table_out, _ = run(capsys, ["table", str(path)])
-    code, out, err = run(capsys, ["obstruct", str(path)] + metric)
+    return str(path)
+
+
+@pytest.mark.parametrize("metric", [[], ["--diag", "1,1,1"]])
+def test_obstruct_on_a_jacobi_failure_exits_one_like_table(nonjacobi, capsys, metric):
+    table_code, table_out, _ = run(capsys, ["table", nonjacobi])
+    code, out, err = run(capsys, ["obstruct", nonjacobi] + metric)
     assert table_code == 1 and code == 1
     assert out == table_out and err == ""
     payload = json.loads(out)
     assert payload["valid"]["jacobi_ok"] is False
     assert [f["generator"] for f in payload["valid"]["failures"]] == [2]
+
+
+@pytest.mark.parametrize(
+    "check", [["gauduchon"], ["astheno", "--diag", "1,2,1"], ["pluriclosed:1"]]
+)
+def test_metric_on_a_jacobi_failure_exits_one_like_table(nonjacobi, capsys, check):
+    table_code, table_out, _ = run(capsys, ["table", nonjacobi])
+    code, out, err = run(capsys, ["metric", nonjacobi, "--check"] + check)
+    assert table_code == 1 and code == 1
+    assert out == table_out and err == ""
+
+
+@pytest.mark.parametrize(
+    "options",
+    [["--check", "bogus"], ["--check", "pluriclosed:4"], ["--check", "skt", "--diag", "1,2i,1"]],
+)
+def test_metric_usage_error_on_a_jacobi_failure_exits_two(nonjacobi, capsys, options):
+    code, out, err = run(capsys, ["metric", nonjacobi] + options)
+    assert code == 2 and out == "" and err.startswith("error: ")
 
 
 def test_obstruct_without_metric(files, capsys):
@@ -252,6 +277,12 @@ def test_catalog_show_unknown_exits_two(capsys):
     code, _, err = run(capsys, ["catalog", "show", "nope"])
     assert code == 2
     assert "iwasawa" in err  # the message lists what exists
+
+
+def test_catalog_show_refuses_a_second_key(capsys):
+    code, out, err = run(capsys, ["catalog", "show", "kodaira", "iwasawa"])
+    assert code == 2 and out == ""
+    assert err == "catalog show takes one KEY, got 2\n"
 
 
 @pytest.mark.parametrize("action", ["show", "suite"])

@@ -1,4 +1,5 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package uses each name it imports, and imports
+only at module level."""
 
 import ast
 from pathlib import Path
@@ -24,6 +25,20 @@ def unused_imports(source: str) -> list:
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def nested_imports(source: str) -> list:
+    """Line numbers of import statements inside a function or class body."""
+    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return sorted(
+        {
+            inner.lineno
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, scopes)
+            for inner in ast.walk(node)
+            if isinstance(inner, (ast.Import, ast.ImportFrom))
+        }
+    )
+
+
 def test_unused_imports_are_found():
     source = (
         "from __future__ import annotations\n"
@@ -40,5 +55,24 @@ def test_no_module_imports_a_name_it_never_uses():
         p.name: unused
         for p in modules
         if (unused := unused_imports(p.read_text(encoding="utf-8")))
+    }
+    assert found == {}
+
+
+def test_nested_imports_are_found():
+    source = (
+        "import json\n"
+        "def f():\n    from math import comb\n    return comb(2, 1)\n"
+        "class C:\n    import os\n    def g(self):\n        if True:\n"
+        "            import sys\n"
+    )
+    assert nested_imports(source) == [3, 6, 9]
+
+
+def test_no_module_imports_inside_a_function_or_class():
+    found = {
+        p.name: lines
+        for p in sorted(PACKAGE.glob("*.py"))
+        if (lines := nested_imports(p.read_text(encoding="utf-8")))
     }
     assert found == {}
