@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb
 
 from .algebra import AlgebraSpec, direct_sum, validate
@@ -80,8 +81,12 @@ class CatalogEntry:
 
     @property
     def metric(self) -> MetricForm:
-        """The default test metric, the diagonal identity."""
-        return diagonal_metric(self.spec.n)
+        """The default test metric, the diagonal identity: one per dimension,
+        so its wedge powers are computed once."""
+        return _identity_metric(self.spec.n)
+
+
+_identity_metric = cache(diagonal_metric)
 
 
 # ---------------------------------------------------------------------------

@@ -164,11 +164,12 @@ def _cmd_metric(args) -> int:
 
 def _cmd_obstruct(args) -> int:
     spec = read_structure_file(args.file)
-    if _refuse_invalid(spec):
-        return 1
     metric = None
     if getattr(args, "diag", None) or getattr(args, "hmatrix", None):
         metric = _metric_from_args(args, spec.n)
+    # refused only after the metric is read, so a malformed option exits 2
+    if _refuse_invalid(spec):
+        return 1
     report = obstruction_report(spec, metric)
     verdicts = obstruction_json(report)
     if metric is not None:

@@ -2,7 +2,9 @@
 Bott-Chern, Aeppli, and total-degree de Rham dimensions.
 
 Everything is computed at the level of invariant forms (the exterior
-algebra of the spec), as exact subquotient dimensions:
+algebra of the spec).  Each dimension is one call of
+:func:`nilcoh.linalg.subquotient_dim`: the kernel of some operators
+stacked together, modulo the span of some operators placed side by side:
 
 * dolbeault        ker(delbar on (p,q))          / delbar (p,q-1)
 * conj_dolbeault   ker(del on (p,q))             / del (p-1,q)
@@ -13,7 +15,7 @@ algebra of the spec), as exact subquotient dimensions:
 The del and delbar matrices out of each (p,q), and the d matrix on each
 degree, are built by :func:`nilcoh.algebra.differential_matrix`; del.delbar
 is the product of the two cached factors.  Each operator matrix is built
-once per spec, and no matrix with rows and columns is ranked twice.
+once per spec and keeps its rank once computed.
 
 Each hodge table carries a validity flag: ``nilpotent_J`` when the
 nilpotency filtration closes at the full degree-one space (for those specs
@@ -30,11 +32,11 @@ from .algebra import AlgebraSpec, differential_matrix, validate
 from .forms import Form, component_basis, degree_basis
 from .linalg import (
     IndexedMatrix,
-    check_containment,
     greedy_complement,
     hstack,
     kernel_basis,
     rank,
+    subquotient_dim,
     vstack,
 )
 from .scalars import GaussianRational
@@ -86,85 +88,33 @@ def d_matrix(spec: AlgebraSpec, k: int) -> IndexedMatrix:
     return out
 
 
-def _operator(spec: AlgebraSpec, key) -> IndexedMatrix:
-    """The matrix of the operator named by ``key``.
+def _theory_operators(spec: AlgebraSpec, theory: str, p: int, q: int):
+    """``(kernel_of, images)``: h^{p,q} of the theory is the dimension of
+    ker(kernel_of) modulo the joint span of the images' columns.
 
-    Keys are ("d", k), (op, p, q) for op in del / delbar / deldelbar, and
-    two joint operators: ("del|delbar", p, q) stacks del and delbar out of
-    (p,q), so its kernel is the d-closed (p,q)-forms, and
-    ("del+delbar", p, q) puts del out of (p-1,q) beside delbar out of
-    (p,q-1), so its image is the sum of theirs in (p,q).  The joint ones
-    are assembled from the cached operators on each call: keeping them
-    would hold a second copy of every nonzero.
+    The Bott-Chern kernel stacks del and delbar out of (p,q), so its kernel
+    is the d-closed (p,q)-forms; it is assembled on each call, since keeping
+    it would hold a second copy of every nonzero.  Where one half has no
+    rows, the stack is the cached other half itself.
     """
-    op = key[0]
-    if op == "d":
-        return d_matrix(spec, key[1])
-    p, q = key[1:]
-    if op == "del|delbar":
-        return vstack(
-            operator_matrix(spec, "del", p, q), operator_matrix(spec, "delbar", p, q)
-        )
-    if op == "del+delbar":
-        return hstack(
-            operator_matrix(spec, "del", p - 1, q),
-            operator_matrix(spec, "delbar", p, q - 1),
-        )
-    return operator_matrix(spec, op, p, q)
+    def op(name, p, q):
+        return operator_matrix(spec, name, p, q)
 
-
-def _rank(spec: AlgebraSpec, key, matrix: IndexedMatrix) -> int:
-    """rank(matrix) of the operator named by ``key``, computed once per spec."""
-    ranks = spec._caches.setdefault("ranks", {})
-    if key not in ranks:
-        ranks[key] = rank(matrix)
-    return ranks[key]
-
-
-def _subquotient(spec: AlgebraSpec, kernel_key, image_key) -> int:
-    """dim ker(kernel) - dim im(image) for two operator keys, with the
-    containment im(image) in ker(kernel) checked."""
-    kernel_of, image = _operator(spec, kernel_key), _operator(spec, image_key)
-    image_rank = 0
-    if image.ncols:
-        check_containment(kernel_of, image)
-        image_rank = _rank(spec, image_key, image)
-    out = kernel_of.ncols - _rank(spec, kernel_key, kernel_of) - image_rank
-    if out < 0:
-        raise ArithmeticError("containment held but dimension went negative")
-    return out
-
-
-def _theory_keys(n, theory, p, q):
-    """The (kernel, image) operator keys whose subquotient is h^{p,q}.
-
-    A joint operator with an empty half is named by its other half, the
-    same matrix, so that its rank is computed once: del out of (n,q) and
-    delbar out of (p,n) have no rows, del out of (-1,q) and delbar out of
-    (p,-1) have no columns.
-    """
     if theory == "dolbeault":
-        return ("delbar", p, q), ("delbar", p, q - 1)
+        return op("delbar", p, q), [op("delbar", p, q - 1)]
     if theory == "conj_dolbeault":
-        return ("del", p, q), ("del", p - 1, q)
+        return op("del", p, q), [op("del", p - 1, q)]
     if theory == "bott_chern":
-        closed = "delbar" if p == n else "del" if q == n else "del|delbar"
-        return (closed, p, q), ("deldelbar", p - 1, q - 1)
+        return vstack(op("del", p, q), op("delbar", p, q)), [op("deldelbar", p - 1, q - 1)]
     if theory == "aeppli":
-        if p == 0:
-            exact = ("delbar", p, q - 1)
-        elif q == 0:
-            exact = ("del", p - 1, q)
-        else:
-            exact = ("del+delbar", p, q)
-        return ("deldelbar", p, q), exact
+        return op("deldelbar", p, q), [op("del", p - 1, q), op("delbar", p, q - 1)]
     raise ValueError("unknown theory %r (choose from %s)" % (theory, THEORIES))
 
 
 def hodge_number(spec: AlgebraSpec, theory: str, p: int, q: int) -> int:
     if not (0 <= p <= spec.n and 0 <= q <= spec.n):
         return 0
-    return _subquotient(spec, *_theory_keys(spec.n, theory, p, q))
+    return subquotient_dim(*_theory_operators(spec, theory, p, q))
 
 
 def hodge_table(spec: AlgebraSpec, theory: str) -> HodgeTable:
@@ -185,7 +135,10 @@ def hodge_table(spec: AlgebraSpec, theory: str) -> HodgeTable:
 
 def derham_betti(spec: AlgebraSpec) -> list:
     """Betti numbers b_0 .. b_{2n} of the total complex."""
-    return [_subquotient(spec, ("d", k), ("d", k - 1)) for k in range(2 * spec.n + 1)]
+    return [
+        subquotient_dim(d_matrix(spec, k), [d_matrix(spec, k - 1)])
+        for k in range(2 * spec.n + 1)
+    ]
 
 
 def class_representatives(spec: AlgebraSpec, theory: str, p: int, q: int):
@@ -197,8 +150,8 @@ def class_representatives(spec: AlgebraSpec, theory: str, p: int, q: int):
     """
     if not (0 <= p <= spec.n and 0 <= q <= spec.n):
         return []
-    kernel_key, image_key = _theory_keys(spec.n, theory, p, q)
-    kernel_of, image = _operator(spec, kernel_key), _operator(spec, image_key)
+    kernel_of, images = _theory_operators(spec, theory, p, q)
+    image = hstack(*images)
     kernel_vectors = kernel_basis(kernel_of)
     columns = {}
     for i, row in enumerate(image.nonzeros()):
@@ -224,14 +177,12 @@ def natural_map_rank(spec: AlgebraSpec, p: int, q: int) -> int:
     del-image and a delbar-image, modulo del.delbar-images; its dimension
     is computed from ranks of concatenated operators."""
     h_bc = hodge_number(spec, "bott_chern", p, q)
-    image_key = _theory_keys(spec.n, "aeppli", p, q)[1]
-    image = _operator(spec, image_key)
+    image = hstack(*_theory_operators(spec, "aeppli", p, q)[1])
     if image.ncols == 0:
         return h_bc
-    closed_key, exact_key = _theory_keys(spec.n, "bott_chern", p, q)
-    closed = _operator(spec, closed_key)
-    intersection_dim = _rank(spec, image_key, image) - rank(closed @ image)
-    kernel_dim = intersection_dim - _rank(spec, exact_key, _operator(spec, exact_key))
+    closed, exact = _theory_operators(spec, "bott_chern", p, q)
+    intersection_dim = rank(image) - rank(closed @ image)
+    kernel_dim = intersection_dim - rank(hstack(*exact))
     if kernel_dim < 0:
         raise ArithmeticError("natural map kernel has negative dimension")
     return h_bc - kernel_dim

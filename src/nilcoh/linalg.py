@@ -16,14 +16,21 @@ the nonzeros of the rows it touches.  A forward pass gives ``rank``,
 ``MetricForm.leading_minors``.  The fraction-free Gauss-Jordan extension
 gives the reduced row echelon form, which is unique: ``kernel_basis``
 reads normalized kernel vectors (first nonzero coordinate 1) off it and
-``span_basis`` returns its nonzero rows.
+``span_basis`` returns its nonzero rows.  A matrix never changes, so
+``rank`` stores its answer in the matrix and eliminates it once.
+
+``subquotient_dim`` is the one routine that checks containment and does
+the dimension arithmetic of a cohomology group: the kernel of operators
+stacked with ``vstack`` modulo the span of operators joined with
+``hstack``.  Both stacks leave out operands with no rows (or no columns)
+and return a lone remaining operand itself, so a joint operator with an
+empty half keeps the other half's stored rank.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import reduce
 
 from .scalars import GaussianRational
 
@@ -54,7 +61,7 @@ class IndexedMatrix:
     ``cols[j]``.  ``entries`` is a dense view, built on each read.
     """
 
-    __slots__ = ("rows", "cols", "_nonzeros")
+    __slots__ = ("rows", "cols", "_nonzeros", "_rank")
 
     def __init__(self, rows, cols, entries):
         """Build from dense rows, one value per column label."""
@@ -71,6 +78,7 @@ class IndexedMatrix:
         object.__setattr__(self, "rows", tuple(rows))
         object.__setattr__(self, "cols", tuple(cols))
         object.__setattr__(self, "_nonzeros", tuple(nonzeros))
+        object.__setattr__(self, "_rank", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("IndexedMatrix is immutable")
@@ -144,25 +152,37 @@ def _nonzero_pairs(vector):
     return tuple((j, z) for j, z in enumerate(vector) if z)
 
 
-def vstack(top: IndexedMatrix, bottom: IndexedMatrix) -> IndexedMatrix:
-    """Stack two operators with the same domain (shared column labels)."""
-    if top.cols != bottom.cols:
+def vstack(*ops: IndexedMatrix) -> IndexedMatrix:
+    """Stack operators with the same domain (shared column labels); those
+    with no rows are left out, and a lone remaining one is returned itself."""
+    cols = ops[0].cols
+    if any(m.cols != cols for m in ops):
         raise ValueError("vstack: column bases differ")
+    kept = [m for m in ops if m.nrows]
+    if len(kept) == 1:
+        return kept[0]
     return IndexedMatrix.from_nonzeros(
-        top.rows + bottom.rows, top.cols, top.nonzeros() + bottom.nonzeros()
+        sum((m.rows for m in kept), ()), cols, sum((m.nonzeros() for m in kept), ())
     )
 
 
-def hstack(left: IndexedMatrix, right: IndexedMatrix) -> IndexedMatrix:
-    """Concatenate columns of two operators into the same codomain."""
-    if left.rows != right.rows:
+def hstack(*ops: IndexedMatrix) -> IndexedMatrix:
+    """Concatenate the columns of operators into the same codomain; those
+    with no columns are left out, and a lone remaining one is returned itself."""
+    rows = ops[0].rows
+    if any(m.rows != rows for m in ops):
         raise ValueError("hstack: row bases differ")
-    shift = left.ncols
-    nonzeros = [
-        a + tuple((j + shift, z) for j, z in b)
-        for a, b in zip(left.nonzeros(), right.nonzeros())
-    ]
-    return IndexedMatrix.from_nonzeros(left.rows, left.cols + right.cols, nonzeros)
+    kept = [m for m in ops if m.ncols]
+    if len(kept) == 1:
+        return kept[0]
+    cols, nonzeros = (), [()] * len(rows)
+    for m in kept:
+        shift = len(cols)
+        nonzeros = [
+            a + tuple((j + shift, z) for j, z in b) for a, b in zip(nonzeros, m.nonzeros())
+        ]
+        cols += m.cols
+    return IndexedMatrix.from_nonzeros(rows, cols, nonzeros)
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +327,11 @@ def _echelon(rows, ncols, reduced):
 
 
 def rank(m: IndexedMatrix) -> int:
-    """Exact rank: the number of pivots of a forward pass."""
-    return len(_echelon(m.nonzeros(), m.ncols, False)[0])
+    """Exact rank: the number of pivots of a forward pass, computed once
+    per matrix."""
+    if m._rank is None:
+        object.__setattr__(m, "_rank", len(_echelon(m.nonzeros(), m.ncols, False)[0]))
+    return m._rank
 
 
 def kernel_basis(m: IndexedMatrix):
@@ -375,10 +398,7 @@ def subquotient_dim(kernel_of: IndexedMatrix, images) -> int:
     images = [img for img in images if img.ncols]
     for img in images:
         check_containment(kernel_of, img)
-    kdim = kernel_of.ncols - rank(kernel_of)
-    if not images:
-        return kdim
-    out = kdim - rank(reduce(hstack, images))
+    out = kernel_of.ncols - rank(kernel_of) - (rank(hstack(*images)) if images else 0)
     if out < 0:
         raise ArithmeticError("containment held but dimension went negative")
     return out

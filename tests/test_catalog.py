@@ -12,6 +12,7 @@ from nilcoh.catalog import (
     run_suite,
 )
 from nilcoh.cli import main
+from nilcoh.metrics import MetricForm
 
 
 def test_named_keys_are_stable():
@@ -97,6 +98,27 @@ def test_run_suite_all_green():
 def test_run_suite_subset():
     ok, summary = run_suite(["kodaira"])
     assert ok and len(summary["entries"]) == 1
+
+
+def test_entry_metric_is_one_identity_per_dimension():
+    entry = catalog_get("iwasawa")
+    assert entry.metric is entry.metric is catalog_get("nakamura_ce").metric
+    assert entry.metric.n == 3
+    with pytest.raises(AttributeError):
+        entry.metric = catalog_get("torus(3)").metric
+
+
+def test_run_suite_computes_each_wedge_power_once(monkeypatch):
+    catalog._identity_metric.cache_clear()
+    computed = []
+    power = MetricForm._power_from_minors
+    monkeypatch.setattr(
+        MetricForm,
+        "_power_from_minors",
+        lambda self, k: computed.append((self.n, k)) or power(self, k),
+    )
+    assert run_suite()[0]
+    assert computed and len(computed) == len(set(computed))
 
 
 @pytest.fixture

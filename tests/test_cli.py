@@ -235,6 +235,15 @@ def test_metric_usage_error_on_a_jacobi_failure_exits_two(nonjacobi, capsys, opt
     assert code == 2 and out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "options, message",
+    [(["--diag", "1,2i,1"], "error: "), (["--hmatrix", "/no/such/h.json"], "cannot read ")],
+)
+def test_obstruct_usage_error_on_a_jacobi_failure_exits_two(nonjacobi, capsys, options, message):
+    code, out, err = run(capsys, ["obstruct", nonjacobi] + options)
+    assert code == 2 and out == "" and err.startswith(message)
+
+
 def test_obstruct_without_metric(files, capsys):
     code, out, _ = run(capsys, ["obstruct", files["torus2"]])
     assert code == 0

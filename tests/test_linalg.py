@@ -129,6 +129,38 @@ def test_stacking():
     assert h.cols == ("c0", "c1", "d0") and ent(h, "x", "d0") == gr(5)
 
 
+def test_stacking_many_operands():
+    a = mat([[gr(1), gr(2)]], row_labels=["x"], col_labels=["c0", "c1"])
+    b = mat([[gr(3), gr(4)]], row_labels=["y"], col_labels=["c0", "c1"])
+    c = mat([[gr(0), gr(5)]], row_labels=["z"], col_labels=["c0", "c1"])
+    v = vstack(a, b, c)
+    assert v.rows == ("x", "y", "z") and ent(v, "z", "c1") == gr(5)
+    h = hstack(v, v, v)
+    assert h.ncols == 6 and ent(h, "y", "c0") == gr(3)
+    assert h.nonzeros()[1] == tuple((j, gr(3 + j % 2)) for j in range(6))
+
+
+def test_stacks_return_a_lone_nonempty_operand_itself():
+    a = mat([[gr(1), gr(2)]], row_labels=["x"], col_labels=["c0", "c1"])
+    no_rows = IndexedMatrix((), a.cols, [])
+    no_cols = IndexedMatrix(a.rows, (), [[]])
+    assert vstack(no_rows, a, no_rows) is a and vstack(a) is a
+    assert hstack(no_cols, a) is a and hstack(a, no_cols, no_cols) is a
+    assert vstack(no_rows, no_rows) == no_rows
+    assert hstack(no_cols, no_cols) == no_cols
+
+
+def test_rank_runs_one_elimination_per_matrix(monkeypatch):
+    echelon = nilcoh.linalg._echelon
+    calls = []
+    monkeypatch.setattr(
+        nilcoh.linalg, "_echelon", lambda *args: calls.append(args) or echelon(*args)
+    )
+    m = rand_matrix(random.Random(5), 4, 5)
+    assert rank(m) == rank(m) == to_sympy(m).rank()
+    assert len(calls) == 1
+
+
 def test_matmul_checks_inner_labels():
     a = mat([[gr(1)]], row_labels=["r"], col_labels=["m"])
     b = mat([[gr(1)]], row_labels=["m"], col_labels=["c"])
