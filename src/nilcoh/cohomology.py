@@ -14,8 +14,9 @@ stacked together, modulo the span of some operators placed side by side:
 
 The del and delbar matrices out of each (p,q), and the d matrix on each
 degree, are built by :func:`nilcoh.algebra.differential_matrix`; del.delbar
-is the product of the two cached factors.  Each operator matrix is built
-once per spec and keeps its rank once computed.
+is the product of the two cached factors.  Each operator matrix, and each
+Bott-Chern kernel stack, is built once per spec and keeps its rank once
+computed.
 
 Each hodge table carries a validity flag: ``nilpotent_J`` when the
 nilpotency filtration closes at the full degree-one space (for those specs
@@ -93,9 +94,10 @@ def _theory_operators(spec: AlgebraSpec, theory: str, p: int, q: int):
     ker(kernel_of) modulo the joint span of the images' columns.
 
     The Bott-Chern kernel stacks del and delbar out of (p,q), so its kernel
-    is the d-closed (p,q)-forms; it is assembled on each call, since keeping
-    it would hold a second copy of every nonzero.  Where one half has no
-    rows, the stack is the cached other half itself.
+    is the d-closed (p,q)-forms.  The stack shares the row tuples of its
+    halves, so it is kept in the spec's matrix cache beside them and a
+    repeated query reuses its stored rank.  Where one half has no rows, the
+    stack is the cached other half itself.
     """
     def op(name, p, q):
         return operator_matrix(spec, name, p, q)
@@ -105,7 +107,11 @@ def _theory_operators(spec: AlgebraSpec, theory: str, p: int, q: int):
     if theory == "conj_dolbeault":
         return op("del", p, q), [op("del", p - 1, q)]
     if theory == "bott_chern":
-        return vstack(op("del", p, q), op("delbar", p, q)), [op("deldelbar", p - 1, q - 1)]
+        cache = spec._caches.setdefault("matrices", {})
+        key = ("del|delbar", p, q)
+        if key not in cache:
+            cache[key] = vstack(op("del", p, q), op("delbar", p, q))
+        return cache[key], [op("deldelbar", p - 1, q - 1)]
     if theory == "aeppli":
         return op("deldelbar", p, q), [op("del", p - 1, q), op("delbar", p, q - 1)]
     raise ValueError("unknown theory %r (choose from %s)" % (theory, THEORIES))

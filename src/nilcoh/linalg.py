@@ -5,19 +5,31 @@ nonzero, so an :class:`IndexedMatrix` stores only the nonzero (column,
 value) pairs of each row, and all the work is done on them.  The product
 multiplies nonzero by nonzero; a dense view is built only on request.
 
-One fraction-free echelon routine does all the elimination.  It clears
-each row's denominators, which changes neither rank nor kernel, keeps
-every row as a dict from column to Gaussian integer holding its nonzeros,
-and runs Bareiss elimination over the Gaussian integers: every
+One fraction-free echelon routine does all the exact elimination.  It
+clears each row's denominators, which changes neither rank nor kernel,
+keeps every row as a dict from column to Gaussian integer holding its
+nonzeros, and runs Bareiss elimination over the Gaussian integers: every
 intermediate entry stays a minor of the cleared matrix, so numerators and
 denominators do not grow through repeated gcd reduction, and a step costs
-the nonzeros of the rows it touches.  A forward pass gives ``rank``,
+the nonzeros of the rows it touches.  A forward pass gives
 ``greedy_complement`` and the determinants behind
 ``MetricForm.leading_minors``.  The fraction-free Gauss-Jordan extension
 gives the reduced row echelon form, which is unique: ``kernel_basis``
 reads normalized kernel vectors (first nonzero coordinate 1) off it and
-``span_basis`` returns its nonzero rows.  A matrix never changes, so
-``rank`` stores its answer in the matrix and eliminates it once.
+``span_basis`` returns its nonzero rows.
+
+``rank`` needs no vectors, so it first tries to certify the rank from two
+cheap bounds.  The lower bound is the rank of the cleared matrix mod one
+fixed prime p = 1 (mod 4), with i mapped to a square root of -1: every
+minor mod p is the image of a minor over Z[i], so a minor that vanishes
+over Z[i] vanishes mod p.  The upper bound is the structural rank, the
+size of a maximum matching between rows and columns over the nonzero
+pattern: a nonzero r x r minor has a nonzero term, which is such a
+matching.  When the bounds meet, that is the rank; otherwise (a prime
+dividing a minor, or a cancellation the pattern cannot see) the exact
+forward pass decides.  Every answer is exact.  A matrix never changes,
+so ``rank`` and ``kernel_basis`` store the rank in the matrix and it is
+computed once.
 
 ``subquotient_dim`` is the one routine that checks containment and does
 the dimension arithmetic of a cohomology group: the kernel of operators
@@ -161,9 +173,10 @@ def vstack(*ops: IndexedMatrix) -> IndexedMatrix:
     kept = [m for m in ops if m.nrows]
     if len(kept) == 1:
         return kept[0]
-    return IndexedMatrix.from_nonzeros(
-        sum((m.rows for m in kept), ()), cols, sum((m.nonzeros() for m in kept), ())
-    )
+    # the operands' row tuples hold only nonzeros already, and are shared
+    out = IndexedMatrix.__new__(IndexedMatrix)
+    out._store(sum((m.rows for m in kept), ()), cols, sum((m.nonzeros() for m in kept), ()))
+    return out
 
 
 def hstack(*ops: IndexedMatrix) -> IndexedMatrix:
@@ -326,11 +339,118 @@ def _echelon(rows, ncols, reduced):
     return pivots, rows, prev, sign
 
 
+# ---------------------------------------------------------------------------
+# certified rank
+
+# A prime p = 1 (mod 4) below 2**30 and a square root s of -1 mod p: a + bi
+# maps to (a + b s) mod p, a ring map Z[i] -> F_p.
+_P = 1073741789
+_S = 140687844
+
+
+def _rank_mod_p(rows) -> int:
+    """Rank mod ``_P`` of rows given by their nonzero (column, value)
+    pairs, after clearing each row's denominators: a lower bound on the
+    rank over Q(i).
+
+    Rows are reduced one at a time, sparsest first (which limits fill-in),
+    against the pivot rows so far.  A pivot row is keyed by its smallest
+    column and normalized there to 1, which is not stored, so a step
+    touches one row and one pivot row.
+    """
+    pivots = {}
+    for cleared in sorted(_cleared_int_rows(rows), key=len):
+        row = {}
+        for j, (a, b) in cleared.items():
+            x = (a + b * _S) % _P
+            if x:
+                row[j] = x
+        get = row.get
+        while row:
+            c = min(row)
+            f = row.pop(c)
+            prow = pivots.get(c)
+            if prow is None:
+                inv = pow(f, -1, _P)
+                pivots[c] = [(j, x * inv % _P) for j, x in row.items()]
+                break
+            for j, x in prow:
+                y = (get(j, 0) - f * x) % _P
+                if y:
+                    row[j] = y
+                else:  # f * x != 0 mod p, so j was in the row
+                    del row[j]
+    return len(pivots)
+
+
+def _structural_rank(rows) -> int:
+    """Size of a maximum matching between rows and columns over the
+    nonzero pattern: an upper bound on the rank.
+
+    A greedy pass matches each row to its first free column; each row it
+    leaves unmatched then looks for an augmenting path by depth-first
+    search, kept on an explicit stack (matrices reach hundreds of rows).
+    The columns a failed search reached lead to no free column, so later
+    searches skip them until an augmentation changes the matching.
+    """
+    adj = [[j for j, _ in row] for row in rows]
+    owner = {}  # column -> matched row
+    unmatched = []
+    for i, cols in enumerate(adj):
+        for j in cols:
+            if j not in owner:
+                owner[j] = i
+                break
+        else:
+            unmatched.append(i)
+    size = len(owner)
+    seen = set()
+    for root in unmatched:
+        path, via, todo = [root], [], [iter(adj[root])]
+        while todo:
+            j = next((j for j in todo[-1] if j not in seen), None)
+            if j is None:
+                path.pop()
+                todo.pop()
+                if via:
+                    via.pop()
+                continue
+            seen.add(j)
+            i = owner.get(j)
+            if i is None:
+                # path[k] takes via[k], the column path[k + 1] gives up
+                for r, c in zip(path, via + [j]):
+                    owner[c] = r
+                size += 1
+                seen = set()
+                break
+            path.append(i)
+            via.append(j)
+            todo.append(iter(adj[i]))
+    return size
+
+
+def _certified_rank(rows, ncols) -> int:
+    """Exact rank of rows given by their nonzero (column, value) pairs:
+    the mod-p lower bound when it meets the structural upper bound, the
+    exact forward pass otherwise."""
+    low = _rank_mod_p(rows)
+    high = _structural_rank(rows)
+    if low > high:
+        raise ArithmeticError("mod-p rank %d exceeds structural rank %d" % (low, high))
+    if low == high:
+        return low
+    exact = len(_echelon(rows, ncols, False)[0])
+    if not low <= exact <= high:
+        raise ArithmeticError("exact rank %d outside bounds [%d, %d]" % (exact, low, high))
+    return exact
+
+
 def rank(m: IndexedMatrix) -> int:
-    """Exact rank: the number of pivots of a forward pass, computed once
-    per matrix."""
+    """Exact rank, certified by two bounds or computed by the exact forward
+    pass, once per matrix."""
     if m._rank is None:
-        object.__setattr__(m, "_rank", len(_echelon(m.nonzeros(), m.ncols, False)[0]))
+        object.__setattr__(m, "_rank", _certified_rank(m.nonzeros(), m.ncols))
     return m._rank
 
 
@@ -342,6 +462,7 @@ def kernel_basis(m: IndexedMatrix):
     """
     nc = m.ncols
     pivots, rows, last, _ = _echelon(m.nonzeros(), nc, True)
+    object.__setattr__(m, "_rank", len(pivots))
     pivot_set = set(pivots)
     # free column f: `last` at f and -row_k[f] at pivot k
     vectors = {f: {f: last} for f in range(nc) if f not in pivot_set}

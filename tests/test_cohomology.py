@@ -258,14 +258,14 @@ def test_operator_matrices_equal_columnwise_images():
 def test_each_matrix_content_is_ranked_once(monkeypatch):
     import nilcoh.linalg
 
-    echelon = nilcoh.linalg._echelon
+    certified_rank = nilcoh.linalg._certified_rank
     eliminated = []
 
-    def spy(rows, ncols, reduced):
+    def spy(rows, ncols):
         eliminated.append((tuple(rows), ncols))
-        return echelon(rows, ncols, reduced)
+        return certified_rank(rows, ncols)
 
-    monkeypatch.setattr(nilcoh.linalg, "_echelon", spy)
+    monkeypatch.setattr(nilcoh.linalg, "_certified_rank", spy)
     rng = random.Random(101)
     checked = 0
     for trial in range(3):
@@ -278,6 +278,21 @@ def test_each_matrix_content_is_ranked_once(monkeypatch):
         assert len(contents) == len(set(contents))
         checked += len(contents)
     assert checked
+
+
+def test_repeated_bott_chern_numbers_rank_nothing_again(monkeypatch):
+    import nilcoh.linalg
+
+    spec = iwasawa_spec()
+    grid = [(p, q) for p in range(4) for q in range(4)]
+    first = [hodge_number(spec, "bott_chern", p, q) for p, q in grid]
+    calls = []
+    certified_rank = nilcoh.linalg._certified_rank
+    monkeypatch.setattr(
+        nilcoh.linalg, "_certified_rank", lambda *args: calls.append(args) or certified_rank(*args)
+    )
+    assert [hodge_number(spec, "bott_chern", p, q) for p, q in grid] == first
+    assert calls == []
 
 
 def test_natural_map_rank_equals_joint_operator_reference():

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import nilcoh.linalg
 from nilcoh.linalg import (
@@ -22,6 +24,14 @@ from nilcoh.metrics import MetricForm
 from nilcoh.scalars import GaussianRational
 
 from oracle import scalar_to_sympy
+
+FUZZ = settings(
+    max_examples=150,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 
 
 def gr(re, im=0):
@@ -129,6 +139,14 @@ def test_stacking():
     assert h.cols == ("c0", "c1", "d0") and ent(h, "x", "d0") == gr(5)
 
 
+def test_vstack_shares_its_operands_rows():
+    a = mat([[gr(1), gr(0)], [gr(0), gr(0)]], row_labels=["x", "y"], col_labels=["c0", "c1"])
+    b = mat([[gr(0), gr(4)]], row_labels=["z"], col_labels=["c0", "c1"])
+    v = vstack(a, b)
+    assert all(r is s for r, s in zip(v.nonzeros(), a.nonzeros() + b.nonzeros()))
+    assert v == mat([[gr(1), gr(0)], [gr(0), gr(0)], [gr(0), gr(4)]], ["x", "y", "z"], a.cols)
+
+
 def test_stacking_many_operands():
     a = mat([[gr(1), gr(2)]], row_labels=["x"], col_labels=["c0", "c1"])
     b = mat([[gr(3), gr(4)]], row_labels=["y"], col_labels=["c0", "c1"])
@@ -150,15 +168,33 @@ def test_stacks_return_a_lone_nonempty_operand_itself():
     assert hstack(no_cols, no_cols) == no_cols
 
 
-def test_rank_runs_one_elimination_per_matrix(monkeypatch):
-    echelon = nilcoh.linalg._echelon
+def spy_eliminations(monkeypatch):
+    """Record every elimination, mod p or exact, as ("mod p", rows) or
+    ("exact", rows)."""
     calls = []
-    monkeypatch.setattr(
-        nilcoh.linalg, "_echelon", lambda *args: calls.append(args) or echelon(*args)
-    )
+    for name, kind in (("_rank_mod_p", "mod p"), ("_echelon", "exact")):
+        fn = getattr(nilcoh.linalg, name)
+        monkeypatch.setattr(
+            nilcoh.linalg,
+            name,
+            lambda rows, *args, fn=fn, kind=kind: calls.append((kind, rows)) or fn(rows, *args),
+        )
+    return calls
+
+
+def test_rank_runs_one_elimination_per_matrix(monkeypatch):
+    calls = spy_eliminations(monkeypatch)
     m = rand_matrix(random.Random(5), 4, 5)
     assert rank(m) == rank(m) == to_sympy(m).rank()
     assert len(calls) == 1
+
+
+def test_kernel_basis_stores_the_rank(monkeypatch):
+    m = rand_matrix(random.Random(7), 5, 7, density=0.4)
+    vecs = kernel_basis(m)
+    calls = spy_eliminations(monkeypatch)
+    assert rank(m) == m.ncols - len(vecs) == to_sympy(m).rank()
+    assert calls == []
 
 
 def test_matmul_checks_inner_labels():
@@ -460,3 +496,139 @@ def test_leading_minors_equal_sympy_determinants():
                 for j in range(1, len(h) + 1)
             ]
             assert [gr(x) for x in metric.leading_minors()] == expected
+
+
+# ---------------------------------------------------------------------------
+# certified rank: the mod-p lower bound, the structural upper bound and the
+# exact fallback
+
+P, S = nilcoh.linalg._P, nilcoh.linalg._S
+# entries that vanish mod p (p itself, i - s) or leave it in a denominator
+SPECIAL = [gr(P), gr(-S, 1), gr(Fraction(1, P)), gr(1), gr(-1), gr(0, 1), gr(2, -3)]
+
+
+def sympy_rank(m):
+    return len(sympy_rref(m)[1])
+
+
+def test_prime_and_square_root_of_minus_one():
+    assert sympy.isprime(P) and P % 4 == 1
+    assert S * S % P == P - 1
+
+
+def bounds(m):
+    rows = m.nonzeros()
+    return nilcoh.linalg._rank_mod_p(rows), nilcoh.linalg._structural_rank(rows)
+
+
+RANK_CASES = {
+    # r_p meets the structural bound
+    "dense random": (rand_matrix(random.Random(11), 6, 8, density=1.0), "certified"),
+    "sparse random": (rand_matrix(random.Random(13), 7, 6, density=0.3), "certified"),
+    # cancellation: rank 1 < structural rank 2
+    "cancellation": (mat([[gr(1), gr(1)], [gr(1), gr(1)]]), "fallback"),
+    # entries that vanish mod p
+    "p": (mat([[gr(P)]]), "fallback"),
+    "diagonal p, 1": (mat([[gr(P), gr(0)], [gr(0), gr(1)]]), "fallback"),
+    "i - s": (mat([[gr(-S, 1)]]), "fallback"),
+    "1/p beside 1": (mat([[gr(Fraction(1, P)), gr(1)], [gr(Fraction(1, P)), gr(0)]]), "fallback"),
+    "p times a dependent row": (
+        mat([[gr(1), gr(2)], [gr(P), gr(2 * P)], [gr(0), gr(0, 1)]]),
+        "certified",
+    ),
+    # the greedy pass leaves two rows whose matches need augmenting paths
+    "augmenting paths": (
+        mat(
+            [
+                [gr(1), gr(2), gr(3), gr(4), gr(0)],
+                [gr(0), gr(0), gr(0), gr(0), gr(5)],
+                [gr(6), gr(0), gr(7), gr(8), gr(0)],
+                [gr(0), gr(0), gr(9), gr(0), gr(10)],
+                [gr(11), gr(0), gr(12), gr(0), gr(13)],
+            ]
+        ),
+        "certified",
+    ),
+    # all-zero rows and columns, empty matrices
+    "zero rows and columns": (
+        mat([[gr(0), gr(0), gr(0)], [gr(0), gr(3), gr(0)], [gr(0), gr(0), gr(0)]]),
+        "certified",
+    ),
+    "all zero": (mat([[gr(0)] * 3] * 2), "certified"),
+    "no rows": (IndexedMatrix((), ("c0", "c1"), []), "certified"),
+    "no columns": (IndexedMatrix(("r0", "r1"), (), [[], []]), "certified"),
+    "empty": (IndexedMatrix((), (), []), "certified"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RANK_CASES))
+def test_rank_path_and_value_equal_sympy(monkeypatch, case):
+    m, path = RANK_CASES[case]
+    m = IndexedMatrix(m.rows, m.cols, m.entries)  # a copy with no stored rank
+    expected = sympy_rank(m)
+    low, high = bounds(m)
+    assert low <= expected <= high
+    assert (low == high) == (path == "certified")
+    calls = spy_eliminations(monkeypatch)
+    assert rank(m) == expected
+    exact = [rows for kind, rows in calls if kind == "exact"]
+    assert len(exact) == (0 if path == "certified" else 1)
+    assert [kind for kind, _ in calls].count("mod p") == 1
+
+
+def reference_matching(adj):
+    """Maximum matching size by recursive augmenting paths (Kuhn)."""
+    owner = {}
+
+    def augment(i, seen):
+        for j in adj[i]:
+            if j not in seen:
+                seen.add(j)
+                if j not in owner or augment(owner[j], seen):
+                    owner[j] = i
+                    return True
+        return False
+
+    return sum(augment(i, set()) for i in range(len(adj)))
+
+
+def test_structural_rank_equals_a_reference_matching():
+    rng = random.Random(83)
+    for _ in range(400):
+        nr, nc = rng.randint(0, 9), rng.randint(0, 9)
+        density = rng.uniform(0.1, 0.6)
+        adj = [[j for j in range(nc) if rng.random() < density] for _ in range(nr)]
+        rows = [tuple((j, gr(1)) for j in cols) for cols in adj]
+        assert nilcoh.linalg._structural_rank(rows) == reference_matching(adj)
+
+
+def test_rank_bound_checks_raise(monkeypatch):
+    m = mat([[gr(1), gr(1)], [gr(1), gr(1)]])
+    monkeypatch.setattr(nilcoh.linalg, "_structural_rank", lambda rows: 0)
+    with pytest.raises(ArithmeticError, match="exceeds structural rank"):
+        rank(m)
+    monkeypatch.setattr(nilcoh.linalg, "_structural_rank", lambda rows: 3)
+    monkeypatch.setattr(nilcoh.linalg, "_echelon", lambda rows, nc, reduced: ([0] * 4, [], 1, 1))
+    with pytest.raises(ArithmeticError, match="outside bounds"):
+        rank(m)
+    assert m._rank is None
+
+
+SPARSE_ENTRIES = st.one_of(st.just(gr(0)), st.sampled_from(SPECIAL))
+
+
+@FUZZ
+@given(
+    st.integers(0, 5).flatmap(
+        lambda nc: st.lists(
+            st.lists(SPARSE_ENTRIES, min_size=nc, max_size=nc), min_size=0, max_size=5
+        ).map(lambda rows: (rows, nc))
+    )
+)
+def test_rank_equals_sympy_on_sparse_special_matrices(drawn):
+    rows, nc = drawn
+    m = IndexedMatrix(range(len(rows)), range(nc), rows)
+    expected = sympy_rank(m)
+    low, high = bounds(m)
+    assert low <= expected <= high
+    assert rank(m) == expected
