@@ -9,9 +9,15 @@ construction.  ``d`` extends to all forms as the unique anti-derivation,
 and splits as ``d = del + delbar`` into the components raising the first
 and second bidegree.
 
-``d`` of a monomial places each term g of d a_j straight past the rest of
-the monomial, with the sign of g ^ rest times (-1)^k for the factor's
-position k; one routine applies d, del or delbar to a form.
+A monomial is also a bitmask (a_j is bit j - 1, ~a_j bit n + j - 1), and
+each spec keeps one table of the generator differentials and their
+conjugates as (mask, Gaussian integer) terms over the lcm L of their
+denominators.  ``d`` of a monomial places each term g of d a_j straight
+past the rest of the monomial, with the sign of g ^ rest times (-1)^k for
+the factor's position k, both read off with ``int.bit_count``; that one
+routine, :func:`_d_terms`, gives the Forms that d, del and delbar return
+and the Gaussian-integer operator matrices of
+:func:`differential_matrix`.
 
 The Jacobi identity of the dual Lie algebra is exactly ``d . d = 0``, and
 on an anti-derivation that only needs checking on generators.
@@ -25,10 +31,13 @@ stabilizes at the full 2n-dimensional space exactly in the nilpotent case.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
-from .forms import BasisForm, Form, degree_basis, wedge_basis
-from .linalg import IndexedMatrix, kernel_basis, span_basis
+from .forms import BasisForm, Form, _mask_indices, degree_basis
+from .linalg import IndexedMatrix, _integer_rows, kernel_basis, span_basis
+from .scalars import GaussianRational
 
 _ALLOWED_BIDEGREES = {(2, 0), (1, 1)}
 
@@ -114,28 +123,104 @@ class ValidationReport:
 # the differential and its bidegree components
 
 
-def _d_monomial(spec: AlgebraSpec, bf: BasisForm) -> Form:
-    cache = spec._caches.setdefault("d_monomial", {})
-    out = cache.get(bf)
-    if out is not None:
-        return out
-    pairs = []
-    for k, (is_anti, j) in enumerate(bf.factors()):
-        dj = spec.d_alphabar(j) if is_anti else spec.d_alpha(j)
-        if not dj:
+def _mask(n: int, bf: BasisForm) -> int:
+    """The monomial as a bitmask: a_j is bit j - 1 and ~a_j bit n + j - 1,
+    so the canonical factor order is the order of the bits."""
+    return sum(1 << (j - 1) for j in bf.holo) + sum(1 << (n + j - 1) for j in bf.anti)
+
+
+@cache
+def _basis_masks(n: int, basis) -> tuple:
+    return tuple(_mask(n, bf) for bf in basis)
+
+
+def _monomial(n: int, mask: int) -> BasisForm:
+    return BasisForm(_mask_indices(mask & ((1 << n) - 1)), _mask_indices(mask >> n))
+
+
+def _term_tables(spec: AlgebraSpec):
+    """``(L, tables)``: L is the lcm of the denominators of the generator
+    differentials.  ``tables[None]`` lists, for the bit b of each generator
+    (holomorphic or not) whose differential is nonzero, the terms of that
+    differential as ``(g, s, re, im)``: the term is (re + im i) / L times
+    the monomial with mask g, and s is the mask whose overlap with the rest
+    of a monomial gives the parity of the term's placement sign (see
+    :func:`_d_terms`).  ``tables[1]`` and ``tables[0]`` keep the terms
+    that raise p (for del) and q (for delbar).  Built once per spec."""
+    cached = spec._caches.get("terms")
+    if cached is not None:
+        return cached
+    n = spec.n
+    holo = (1 << n) - 1
+    factors = [(1 << (j - 1), spec.d_alpha(j)) for j in range(1, n + 1)]
+    factors += [(1 << (n + j - 1), spec.d_alphabar(j)) for j in range(1, n + 1)]
+    factors = [(b, dj) for b, dj in factors if dj]
+    int_rows, den = _integer_rows(
+        [(_mask(n, g), c) for g, c in dj.terms()] for _, dj in factors
+    )
+    tables = {None: [], 1: [], 0: []}
+    for (b, _), row in zip(factors, int_rows):
+        placed = {None: [], 1: [], 0: []}
+        for g, re, im in row:
+            s = b - 1
+            for x in _mask_indices(g):
+                s ^= (1 << (x - 1)) - 1
+            term = (g, s, re, im)
+            placed[None].append(term)
+            placed[(g & holo).bit_count() - (b & holo).bit_count()].append(term)
+        for dp, table in tables.items():
+            if placed[dp]:
+                table.append((b, tuple(placed[dp])))
+    out = spec._caches["terms"] = (den, {dp: tuple(t) for dp, t in tables.items()})
+    return out
+
+
+def _d_terms(table, m: int) -> dict:
+    """d (or with the del or delbar table, del or delbar) of the monomial
+    with mask m over the table's L, as a dict mask -> (re, im) of its
+    nonzero coefficients times L.
+
+    Each term g of d of the factor at bit b lands on rest | g, where rest
+    is m without b, when g misses rest.  Its sign is (-1)^k, k the number
+    of factors before b, times the sign of the shuffle sorting the word
+    g rest; the factors of rest below b count towards k, and those below
+    each factor of g towards the shuffle, so the parity of the number of
+    bits of ``rest & s`` is that of the sign."""
+    out = {}
+    for b, terms in table:
+        if not m & b:
             continue
-        koszul = -1 if k & 1 else 1
-        if is_anti:
-            rest = BasisForm(bf.holo, tuple(t for t in bf.anti if t != j))
-        else:
-            rest = BasisForm(tuple(s for s in bf.holo if s != j), bf.anti)
-        # dj has even degree, so it slides to the front without a sign;
-        # the Koszul sign (-1)^k records the factor position.
-        for g, c in dj.terms():
-            sign, w = wedge_basis(g, rest)
-            if sign:
-                pairs.append((w, c if sign * koszul > 0 else -c))
-    out = cache[bf] = Form(pairs)
+        rest = m ^ b
+        for g, s, re, im in terms:
+            if rest & g:
+                continue
+            w = rest | g
+            if (rest & s).bit_count() & 1:
+                re, im = -re, -im
+            x = out.get(w)
+            if x is None:
+                out[w] = (re, im)
+            elif x[0] + re or x[1] + im:
+                out[w] = (x[0] + re, x[1] + im)
+            else:
+                del out[w]
+    return out
+
+
+def _d_monomial(spec: AlgebraSpec, bf: BasisForm, dp=None) -> Form:
+    """d of one monomial as a Form, or with dp = 1 (dp = 0) only its terms
+    that raise p (q), read off the term table."""
+    cache = spec._caches.setdefault("d_monomial", {})
+    out = cache.get((bf, dp))
+    if out is None:
+        n = spec.n
+        den, tables = _term_tables(spec)
+        out = cache[bf, dp] = Form(
+            {
+                _monomial(n, w): GaussianRational(Fraction(re, den), Fraction(im, den))
+                for w, (re, im) in _d_terms(tables[dp], _mask(n, bf)).items()
+            }
+        )
     return out
 
 
@@ -147,13 +232,9 @@ def _differentiate(spec: AlgebraSpec, x: Form, dp=None) -> Form:
             "form references generator a%d beyond dimension %d"
             % (x.max_index(), spec.n)
         )
-    pairs = []
-    for bf, c in x.terms():
-        p = len(bf.holo)
-        for g, e in _d_monomial(spec, bf).terms():
-            if dp is None or len(g.holo) - p == dp:
-                pairs.append((g, c * e))
-    return Form(pairs)
+    return Form(
+        (g, c * e) for bf, c in x.terms() for g, e in _d_monomial(spec, bf, dp).terms()
+    )
 
 
 def d(spec: AlgebraSpec, x: Form) -> Form:
@@ -188,12 +269,24 @@ def _coefficient_matrix(codomain, cols, images) -> IndexedMatrix:
     return IndexedMatrix.from_nonzeros(codomain, cols, nonzeros)
 
 
-def differential_matrix(spec: AlgebraSpec, domain, codomain) -> IndexedMatrix:
-    """Matrix of d from the span of the ``domain`` monomials to the span of
-    the ``codomain`` monomials: the terms of d of each domain monomial that
-    lie in the codomain.  A codomain of one bidegree (p+1, q) or (p, q+1)
-    gives del or delbar, one of one total degree gives d."""
-    return _coefficient_matrix(codomain, domain, (_d_monomial(spec, bf) for bf in domain))
+def differential_matrix(spec: AlgebraSpec, domain, codomain, dp=None) -> IndexedMatrix:
+    """Matrix of d, or with dp = 1 (dp = 0) of del (delbar), from the span
+    of the ``domain`` monomials to the span of the ``codomain`` monomials:
+    the terms of each domain monomial's image that lie in the codomain, as
+    Gaussian integers over the term table's L.  A codomain of one bidegree
+    (p+1, q) with dp = 1 gives del, (p, q+1) with dp = 0 gives delbar, and
+    one of one total degree with dp = None gives d."""
+    n = spec.n
+    den, tables = _term_tables(spec)
+    table = tables[dp]
+    index = {w: i for i, w in enumerate(_basis_masks(n, codomain))}
+    rows = [[] for _ in codomain]
+    for col, m in enumerate(_basis_masks(n, domain)):
+        for w, (re, im) in _d_terms(table, m).items():
+            i = index.get(w)
+            if i is not None:
+                rows[i].append((col, re, im))
+    return IndexedMatrix.from_int_rows(codomain, domain, map(tuple, rows), den)
 
 
 # ---------------------------------------------------------------------------

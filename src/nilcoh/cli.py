@@ -185,8 +185,11 @@ def _cmd_product(args) -> int:
     right = read_structure_file(args.file2)
     text = format_structure_file(direct_sum(left, right))
     if args.output:
-        with open(args.output, "w", encoding="ascii") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="ascii") as fh:
+                fh.write(text)
+        except OSError:
+            return _fail_usage("cannot write %s" % args.output)
     else:
         sys.stdout.write(text)
     return 0
@@ -302,7 +305,10 @@ def main(argv=None) -> int:
     except StructureSyntaxError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        # an input file that is missing, a directory, unreadable, ...
+        if exc.filename is None:
+            raise
         print("cannot read %s" % exc.filename, file=sys.stderr)
         return 2
     except CatalogKeyError as exc:

@@ -66,9 +66,9 @@ def operator_matrix(spec: AlgebraSpec, op: str, p: int, q: int) -> IndexedMatrix
         return cached
     n = spec.n
     if op == "del":
-        out = differential_matrix(spec, component_basis(n, p, q), component_basis(n, p + 1, q))
+        out = differential_matrix(spec, component_basis(n, p, q), component_basis(n, p + 1, q), 1)
     elif op == "delbar":
-        out = differential_matrix(spec, component_basis(n, p, q), component_basis(n, p, q + 1))
+        out = differential_matrix(spec, component_basis(n, p, q), component_basis(n, p, q + 1), 0)
     elif op == "deldelbar":
         out = operator_matrix(spec, "del", p, q + 1) @ operator_matrix(spec, "delbar", p, q)
     else:

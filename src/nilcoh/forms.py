@@ -27,6 +27,7 @@ Worked examples::
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 from .scalars import GaussianRational
@@ -90,10 +91,6 @@ class BasisForm:
     def sort_key(self):
         return (self.degree, len(self.holo), self.holo, self.anti)
 
-    def factors(self):
-        """The factor word in canonical order as (is_anti, index) pairs."""
-        return [(False, j) for j in self.holo] + [(True, j) for j in self.anti]
-
     def shift(self, offset: int) -> "BasisForm":
         return BasisForm(
             tuple(j + offset for j in self.holo), tuple(j + offset for j in self.anti)
@@ -123,6 +120,12 @@ class BasisForm:
 UNIT = BasisForm((), ())
 
 
+def _mask_indices(mask):
+    """The 1-based indices of the set bits of ``mask``."""
+    return tuple(j + 1 for j in range(mask.bit_length()) if mask >> j & 1)
+
+
+@cache
 def component_basis(n: int, p: int, q: int):
     """Canonical ordered basis of the (p,q) component (lex on (S,T)); empty
     outside 0 <= p, q <= n."""
@@ -135,6 +138,7 @@ def component_basis(n: int, p: int, q: int):
     )
 
 
+@cache
 def degree_basis(n: int, k: int):
     """Canonical ordered basis of the total degree-k space, by ascending p."""
     out = []

@@ -1,25 +1,30 @@
 """Exact linear algebra over Q(i) for basis-indexed operator matrices.
 
 The operator matrices of a nilmanifold's complex are well under 1%
-nonzero, so an :class:`IndexedMatrix` stores only the nonzero (column,
-value) pairs of each row, and all the work is done on them.  The product
-multiplies nonzero by nonzero; a dense view is built only on request.
+nonzero, so an :class:`IndexedMatrix` stores only the nonzeros of each
+row, as Gaussian integers (re, im) over one denominator shared by the
+whole matrix, and all the work is done on those integers.  The product
+multiplies nonzero by nonzero in Z[i] and multiplies the denominators;
+the stacks bring their operands to a common denominator.  Gaussian
+rationals are built only when a caller reads values: ``nonzeros()``,
+``column`` and the dense ``entries`` are views.
 
 One fraction-free echelon routine does all the exact elimination.  It
-clears each row's denominators, which changes neither rank nor kernel,
 keeps every row as a dict from column to Gaussian integer holding its
-nonzeros, and runs Bareiss elimination over the Gaussian integers: every
-intermediate entry stays a minor of the cleared matrix, so numerators and
-denominators do not grow through repeated gcd reduction, and a step costs
-the nonzeros of the rows it touches.  A forward pass gives
-``greedy_complement`` and the determinants behind
+nonzeros (a matrix's integer rows as they are; vectors of Gaussian
+rationals first scaled by the lcm of their denominators, which changes
+neither rank nor kernel), and runs Bareiss elimination over the Gaussian
+integers: every intermediate entry stays a minor of the integer matrix,
+so numerators and denominators do not grow through repeated gcd
+reduction, and a step costs the nonzeros of the rows it touches.  A
+forward pass gives ``greedy_complement`` and the determinants behind
 ``MetricForm.leading_minors``.  The fraction-free Gauss-Jordan extension
 gives the reduced row echelon form, which is unique: ``kernel_basis``
 reads normalized kernel vectors (first nonzero coordinate 1) off it and
 ``span_basis`` returns its nonzero rows.
 
 ``rank`` needs no vectors, so it first tries to certify the rank from two
-cheap bounds.  The lower bound is the rank of the cleared matrix mod one
+cheap bounds.  The lower bound is the rank of the integer rows mod one
 fixed prime p = 1 (mod 4), with i mapped to a square root of -1: every
 minor mod p is the image of a minor over Z[i], so a minor that vanishes
 over Z[i] vanishes mod p.  The upper bound is the structural rank, the
@@ -65,31 +70,37 @@ class ContainmentError(Exception):
 
 class IndexedMatrix:
     """A matrix whose rows and columns are labelled by basis data, stored
-    as its nonzeros.
+    as its nonzeros over Z[i] and one denominator.
 
-    ``nonzeros()[i]`` holds the (column index, value) pairs of the nonzero
-    entries of row ``rows[i]``; the entry in row ``rows[i]`` and column
-    ``cols[j]`` is the coefficient of ``rows[i]`` in the image of
-    ``cols[j]``.  ``entries`` is a dense view, built on each read.
+    ``int_rows()[i]`` holds the (column index, re, im) triples of the
+    nonzero entries of row ``rows[i]``, and ``denominator`` is a positive
+    integer: the entry is (re + im i) / denominator.  The entry in row
+    ``rows[i]`` and column ``cols[j]`` is the coefficient of ``rows[i]``
+    in the image of ``cols[j]``.  ``nonzeros()`` (the same pairs with
+    Gaussian rational values), ``column`` and ``entries`` (the dense rows)
+    are views, built on each read.
     """
 
-    __slots__ = ("rows", "cols", "_nonzeros", "_rank")
+    __slots__ = ("rows", "cols", "denominator", "_int_rows", "_rank")
 
     def __init__(self, rows, cols, entries):
-        """Build from dense rows, one value per column label."""
+        """Build from dense rows (sequences) of Gaussian rationals, one
+        value per column label."""
         rows = tuple(rows)
         cols = tuple(cols)
-        entries = [tuple(row) for row in entries]
+        entries = list(entries)
         if len(entries) != len(rows):
             raise ValueError("entry rows do not match row labels")
         if any(len(r) != len(cols) for r in entries):
             raise ValueError("entry columns do not match column labels")
-        self._store(rows, cols, map(_nonzero_pairs, entries))
+        den = _denominator(z for row in entries for z in row)
+        self._store(rows, cols, _scaled_rows(map(enumerate, entries), den), den)
 
-    def _store(self, rows, cols, nonzeros):
+    def _store(self, rows, cols, int_rows, denominator):
         object.__setattr__(self, "rows", tuple(rows))
         object.__setattr__(self, "cols", tuple(cols))
-        object.__setattr__(self, "_nonzeros", tuple(nonzeros))
+        object.__setattr__(self, "denominator", denominator)
+        object.__setattr__(self, "_int_rows", tuple(int_rows))
         object.__setattr__(self, "_rank", None)
 
     def __setattr__(self, name, value):
@@ -105,22 +116,37 @@ class IndexedMatrix:
 
     @classmethod
     def from_nonzeros(cls, rows, cols, nonzeros):
-        """Build from each row's (column index, value) pairs; pairs with a
-        zero value are dropped."""
+        """Build from each row's (column index, Gaussian rational) pairs;
+        pairs with a zero value are dropped."""
+        return cls.from_int_rows(rows, cols, *_integer_rows(nonzeros))
+
+    @classmethod
+    def from_int_rows(cls, rows, cols, int_rows, denominator=1):
+        """Build from each row's (column index, re, im) triples of nonzero
+        Gaussian integers, as tuples, over a positive ``denominator``."""
         out = cls.__new__(cls)
-        out._store(rows, cols, (tuple((j, z) for j, z in row if z) for row in nonzeros))
+        out._store(rows, cols, int_rows, denominator)
         return out
 
+    def int_rows(self):
+        """Per row, the (column index, re, im) triples of its nonzero
+        entries times ``denominator``, in column order unless the matrix
+        was built from pairs or is a product."""
+        return self._int_rows
+
     def nonzeros(self):
-        """Per row, the (column index, value) pairs of its nonzero entries,
-        in column order unless the matrix was built from pairs."""
-        return self._nonzeros
+        """Per row, the (column index, value) pairs of its nonzero
+        entries, in the order of ``int_rows()``."""
+        den = self.denominator
+        return tuple(
+            tuple((j, _gauss(re, im, den)) for j, re, im in row) for row in self._int_rows
+        )
 
     @property
     def entries(self):
         """The dense rows, as a tuple of tuples."""
         out = []
-        for row in self._nonzeros:
+        for row in self.nonzeros():
             dense = [_GR_ZERO] * len(self.cols)
             for j, z in row:
                 dense[j] = z
@@ -128,29 +154,42 @@ class IndexedMatrix:
         return tuple(out)
 
     def column(self, j):
-        return tuple(dict(row).get(j, _GR_ZERO) for row in self._nonzeros)
+        den = self.denominator
+        return tuple(
+            next((_gauss(re, im, den) for k, re, im in row if k == j), _GR_ZERO)
+            for row in self._int_rows
+        )
 
     def __matmul__(self, other):
         if not isinstance(other, IndexedMatrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError("matrix product: inner bases do not match")
-        right = other.nonzeros()
+        right = other._int_rows
         out = []
-        for row in self.nonzeros():
+        for row in self._int_rows:
             acc = {}
-            for k, a in row:
-                for j, b in right[k]:
-                    acc[j] = acc[j] + a * b if j in acc else a * b
-            out.append(acc.items())
-        return IndexedMatrix.from_nonzeros(self.rows, other.cols, out)
+            for k, ar, ai in row:
+                for j, br, bi in right[k]:
+                    x = acc.get(j)
+                    if x is None:
+                        acc[j] = (ar * br - ai * bi, ar * bi + ai * br)
+                    else:
+                        acc[j] = (x[0] + ar * br - ai * bi, x[1] + ar * bi + ai * br)
+            out.append(tuple((j, xr, xi) for j, (xr, xi) in acc.items() if xr or xi))
+        return IndexedMatrix.from_int_rows(
+            self.rows, other.cols, out, self.denominator * other.denominator
+        )
 
     def __eq__(self, other):
-        return (
-            isinstance(other, IndexedMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and list(map(dict, self._nonzeros)) == list(map(dict, other._nonzeros))
+        if not isinstance(other, IndexedMatrix):
+            return False
+        if self.rows != other.rows or self.cols != other.cols:
+            return False
+        a, b = other.denominator, self.denominator  # compare self * a with other * b
+        return all(
+            {j: (re * a, im * a) for j, re, im in x} == {j: (re * b, im * b) for j, re, im in y}
+            for x, y in zip(self._int_rows, other._int_rows)
         )
 
     __hash__ = None
@@ -159,9 +198,68 @@ class IndexedMatrix:
         return "IndexedMatrix(%d rows x %d cols)" % (self.nrows, self.ncols)
 
 
+def _gauss(re, im, den) -> GaussianRational:
+    """The Gaussian rational (re + im i) / den."""
+    if den == 1:
+        return GaussianRational(re, im)
+    return GaussianRational(Fraction(re, den), Fraction(im, den))
+
+
 def _nonzero_pairs(vector):
     """The (index, value) pairs of a vector's nonzero entries."""
     return tuple((j, z) for j, z in enumerate(vector) if z)
+
+
+def _denominator(values):
+    """The lcm of the denominators of some Gaussian rationals."""
+    denom = 1
+    for z in values:
+        denom = math.lcm(denom, z.re.denominator, z.im.denominator)
+    return denom
+
+
+def _scaled_rows(rows, den):
+    """Rows given by (column, Gaussian rational) pairs, some of them zero,
+    as tuples of (column, re, im) triples of their nonzero entries times
+    ``den``, a common multiple of their denominators."""
+    return [
+        tuple(
+            (
+                j,
+                z.re.numerator * (den // z.re.denominator),
+                z.im.numerator * (den // z.im.denominator),
+            )
+            for j, z in row
+            if z
+        )
+        for row in rows
+    ]
+
+
+def _integer_rows(rows):
+    """``(int_rows, L)``: rows given by (column, Gaussian rational) pairs
+    as Gaussian-integer rows (see :func:`_scaled_rows`) over L, the lcm of
+    all their denominators."""
+    rows = [tuple(row) for row in rows]
+    den = _denominator(z for row in rows for _, z in row)
+    return _scaled_rows(rows, den), den
+
+
+def _common_rows(ops):
+    """``(per_operand_int_rows, L)``: each operand's integer rows brought
+    to L, the lcm of the operands' denominators; rows already over L are
+    shared, not copied."""
+    den = math.lcm(*(m.denominator for m in ops))
+    out = []
+    for m in ops:
+        f = den // m.denominator
+        if f == 1:
+            out.append(m._int_rows)
+        else:
+            out.append(
+                tuple(tuple((j, re * f, im * f) for j, re, im in row) for row in m._int_rows)
+            )
+    return out, den
 
 
 def vstack(*ops: IndexedMatrix) -> IndexedMatrix:
@@ -173,10 +271,8 @@ def vstack(*ops: IndexedMatrix) -> IndexedMatrix:
     kept = [m for m in ops if m.nrows]
     if len(kept) == 1:
         return kept[0]
-    # the operands' row tuples hold only nonzeros already, and are shared
-    out = IndexedMatrix.__new__(IndexedMatrix)
-    out._store(sum((m.rows for m in kept), ()), cols, sum((m.nonzeros() for m in kept), ()))
-    return out
+    parts, den = _common_rows(kept)
+    return IndexedMatrix.from_int_rows(sum((m.rows for m in kept), ()), cols, sum(parts, ()), den)
 
 
 def hstack(*ops: IndexedMatrix) -> IndexedMatrix:
@@ -188,45 +284,19 @@ def hstack(*ops: IndexedMatrix) -> IndexedMatrix:
     kept = [m for m in ops if m.ncols]
     if len(kept) == 1:
         return kept[0]
-    cols, nonzeros = (), [()] * len(rows)
-    for m in kept:
+    parts, den = _common_rows(kept)
+    cols, int_rows = (), [()] * len(rows)
+    for m, part in zip(kept, parts):
         shift = len(cols)
-        nonzeros = [
-            a + tuple((j + shift, z) for j, z in b) for a, b in zip(nonzeros, m.nonzeros())
+        int_rows = [
+            a + tuple((j + shift, re, im) for j, re, im in b) for a, b in zip(int_rows, part)
         ]
         cols += m.cols
-    return IndexedMatrix.from_nonzeros(rows, cols, nonzeros)
+    return IndexedMatrix.from_int_rows(rows, cols, int_rows, den)
 
 
 # ---------------------------------------------------------------------------
 # fraction-free echelon form
-
-
-def _denominator(values):
-    """The lcm of the denominators of some Gaussian rationals."""
-    denom = 1
-    for z in values:
-        denom = math.lcm(denom, z.re.denominator, z.im.denominator)
-    return denom
-
-
-def _cleared_int_rows(rows):
-    """Rows given by their nonzero (column, value) pairs, as dicts column ->
-    (re, im) Gaussian integer after scaling each row by the lcm of its
-    denominators (rank- and kernel-preserving)."""
-    out = []
-    for row in rows:
-        denom = _denominator(z for _, z in row)
-        out.append(
-            {
-                j: (
-                    z.re.numerator * (denom // z.re.denominator),
-                    z.im.numerator * (denom // z.im.denominator),
-                )
-                for j, z in row
-            }
-        )
-    return out
 
 
 def _gi_mul(a, b):
@@ -262,26 +332,26 @@ def _dense_quotient(row, d, ncols):
 
 
 def _echelon(rows, ncols, reduced):
-    """Fraction-free elimination of sparse Q(i) rows over Z[i],
+    """Fraction-free elimination of sparse Gaussian-integer rows,
     first-nonzero pivoting.
 
-    ``rows`` gives each row by its nonzero (column, value) pairs.  Returns
+    ``rows`` gives each row by its nonzero (column, re, im) triples.  Returns
     ``(pivots, rows, last, sign)``: the pivot columns, the eliminated
     Gaussian-integer rows as dicts column -> (re, im) of their nonzeros
     (row k holds pivot k), the last pivot and the sign of the row
-    permutation.  Each row is first cleared of its denominators.  The step
-    with pivot p in column c, after previous pivot ``prev``, replaces each
-    row it reaches by (p * row - row[c] * pivot row) / prev.  Every entry
-    then stays a minor of the cleared matrix (Sylvester's identity), so the
-    division is exact; a row with no entry in column c is only rescaled by
-    p / prev, on its nonzeros, and not at all when p == prev.  The forward
-    pass gives an echelon form whose last pivot is, for a square
-    nonsingular matrix, ``sign`` times its determinant.  With ``reduced``
-    the rows above each pivot are eliminated as well (fraction-free
-    Gauss-Jordan): every pivot entry ends equal to ``last``, and row k
-    divided by ``last`` is row k of the reduced row echelon form.
+    permutation.  The step with pivot p in column c, after previous pivot
+    ``prev``, replaces each row it reaches by (p * row - row[c] * pivot
+    row) / prev.  Every entry then stays a minor of the input (Sylvester's
+    identity), so the division is exact; a row with no entry in column c
+    is only rescaled by p / prev, on its nonzeros, and not at all when
+    p == prev.  The forward pass gives an echelon form whose last pivot
+    is, for a square nonsingular matrix, ``sign`` times its determinant.
+    With ``reduced`` the rows above each pivot are eliminated as well
+    (fraction-free Gauss-Jordan): every pivot entry ends equal to
+    ``last``, and row k divided by ``last`` is row k of the reduced row
+    echelon form.
     """
-    rows = _cleared_int_rows(rows)
+    rows = [{j: (re, im) for j, re, im in row} for row in rows]
     nr = len(rows)
     pivots = []
     prev = (1, 0)
@@ -349,9 +419,8 @@ _S = 140687844
 
 
 def _rank_mod_p(rows) -> int:
-    """Rank mod ``_P`` of rows given by their nonzero (column, value)
-    pairs, after clearing each row's denominators: a lower bound on the
-    rank over Q(i).
+    """Rank mod ``_P`` of Gaussian-integer rows given by their nonzero
+    (column, re, im) triples: a lower bound on the rank over Q(i).
 
     Rows are reduced one at a time, sparsest first (which limits fill-in),
     against the pivot rows so far.  A pivot row is keyed by its smallest
@@ -359,9 +428,9 @@ def _rank_mod_p(rows) -> int:
     touches one row and one pivot row.
     """
     pivots = {}
-    for cleared in sorted(_cleared_int_rows(rows), key=len):
+    for integral in sorted(rows, key=len):
         row = {}
-        for j, (a, b) in cleared.items():
+        for j, a, b in integral:
             x = (a + b * _S) % _P
             if x:
                 row[j] = x
@@ -393,7 +462,7 @@ def _structural_rank(rows) -> int:
     The columns a failed search reached lead to no free column, so later
     searches skip them until an augmentation changes the matching.
     """
-    adj = [[j for j, _ in row] for row in rows]
+    adj = [[entry[0] for entry in row] for row in rows]
     owner = {}  # column -> matched row
     unmatched = []
     for i, cols in enumerate(adj):
@@ -431,9 +500,9 @@ def _structural_rank(rows) -> int:
 
 
 def _certified_rank(rows, ncols) -> int:
-    """Exact rank of rows given by their nonzero (column, value) pairs:
-    the mod-p lower bound when it meets the structural upper bound, the
-    exact forward pass otherwise."""
+    """Exact rank of Gaussian-integer rows given by their nonzero
+    (column, re, im) triples: the mod-p lower bound when it meets the
+    structural upper bound, the exact forward pass otherwise."""
     low = _rank_mod_p(rows)
     high = _structural_rank(rows)
     if low > high:
@@ -450,7 +519,7 @@ def rank(m: IndexedMatrix) -> int:
     """Exact rank, certified by two bounds or computed by the exact forward
     pass, once per matrix."""
     if m._rank is None:
-        object.__setattr__(m, "_rank", _certified_rank(m.nonzeros(), m.ncols))
+        object.__setattr__(m, "_rank", _certified_rank(m.int_rows(), m.ncols))
     return m._rank
 
 
@@ -461,7 +530,7 @@ def kernel_basis(m: IndexedMatrix):
     ordered by free column index (deterministic).
     """
     nc = m.ncols
-    pivots, rows, last, _ = _echelon(m.nonzeros(), nc, True)
+    pivots, rows, last, _ = _echelon(m.int_rows(), nc, True)
     object.__setattr__(m, "_rank", len(pivots))
     pivot_set = set(pivots)
     # free column f: `last` at f and -row_k[f] at pivot k
@@ -480,7 +549,7 @@ def span_basis(vectors):
     if not nonzero:
         return []
     nc = len(vectors[0])
-    pivots, rows, last, _ = _echelon(nonzero, nc, True)
+    pivots, rows, last, _ = _echelon(_integer_rows(nonzero)[0], nc, True)
     return [_dense_quotient(row, last, nc) for row in rows[: len(pivots)]]
 
 
@@ -491,7 +560,7 @@ def greedy_complement(base_columns, candidates):
     base_columns = list(base_columns)
     nb = len(base_columns)
     columns = base_columns + list(candidates)
-    rows = [_nonzero_pairs(row) for row in zip(*columns)]
+    rows = _integer_rows(map(_nonzero_pairs, zip(*columns)))[0]
     pivots = _echelon(rows, len(columns), False)[0]
     return [c - nb for c in pivots if c >= nb]
 
@@ -502,7 +571,7 @@ def check_containment(kernel_of: IndexedMatrix, image: IndexedMatrix):
     if image.rows != kernel_of.cols:
         raise ValueError("subquotient: image codomain does not match")
     prod = kernel_of @ image
-    escaped = [j for row in prod.nonzeros() for j, _ in row]
+    escaped = [entry[0] for row in prod.int_rows() for entry in row]
     if escaped:
         j = min(escaped)
         raise ContainmentError(

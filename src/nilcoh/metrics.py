@@ -47,11 +47,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import factorial, prod
+from math import factorial
 
 from .algebra import AlgebraSpec, d, deldelbar
-from .forms import BasisForm, Form
-from .linalg import _denominator, _echelon, _nonzero_pairs
+from .forms import BasisForm, Form, _mask_indices
+from .linalg import _echelon, _integer_rows, _nonzero_pairs
 from .scalars import GaussianRational
 
 _CONDITIONS = ("kahler", "gauduchon", "skt", "astheno", "ft_pair")
@@ -59,11 +59,6 @@ _CONDITIONS = ("kahler", "gauduchon", "skt", "astheno", "ft_pair")
 
 def _as_scalar(x) -> GaussianRational:
     return x if isinstance(x, GaussianRational) else GaussianRational(x)
-
-
-def _mask_indices(mask):
-    """The 1-based indices of the set bits of ``mask``."""
-    return tuple(j + 1 for j in range(mask.bit_length()) if mask >> j & 1)
 
 
 class MetricForm:
@@ -118,16 +113,8 @@ class MetricForm:
             return Form.scalar(1)
         if k > n:
             return Form()
-        scale = _denominator(z for row in self.H for z in row)
-        rows = [
-            [
-                (1 << t, z.re.numerator * (scale // z.re.denominator),
-                 z.im.numerator * (scale // z.im.denominator))
-                for t, z in enumerate(row)
-                if z
-            ]
-            for row in self.H
-        ]
+        int_rows, scale = _integer_rows(map(_nonzero_pairs, self.H))
+        rows = [[(1 << t, gr, gi) for t, gr, gi in row] for row in int_rows]
         # level m maps a row mask to {column mask: minor}.  A row set that
         # grows by k - m more rows, each one above its first row, starts at
         # row k - m or later.
@@ -173,19 +160,21 @@ class MetricForm:
     def leading_minors(self):
         """Leading principal minor determinants (exact, real rationals).
 
-        A forward fraction-free pass over each leading block of row-cleared
-        entries ends on its determinant up to the row-swap sign; dividing by
-        the row scale factors gives the minor of H itself."""
+        A forward fraction-free pass over each leading k x k block, scaled
+        to Gaussian integers by the lcm L of its denominators, ends on its
+        determinant up to the row-swap sign; dividing by L^k gives the
+        minor of H itself."""
         minors = []
         for k in range(1, self.n + 1):
             block = [row[:k] for row in self.H[:k]]
-            pivots, _, last, sign = _echelon(map(_nonzero_pairs, block), k, False)
+            rows, scale = _integer_rows(map(_nonzero_pairs, block))
+            pivots, _, last, sign = _echelon(rows, k, False)
             if len(pivots) < k:
                 minors.append(Fraction(0))
                 continue
             if last[1]:
                 raise ArithmeticError("Hermitian minor with nonzero imaginary part")
-            minors.append(Fraction(sign * last[0], prod(map(_denominator, block))))
+            minors.append(Fraction(sign * last[0], scale**k))
         return minors
 
     def is_positive(self) -> bool:

@@ -24,18 +24,27 @@ def rand_gauss(rng, span=2):
     )
 
 
-def random_two_step(rng, n, density=0.4, name="draw"):
+def rand_gauss_over(rng, denominators, span=2):
+    """A Gaussian rational whose real and imaginary parts have numerators
+    in [-span, span] over denominators drawn from ``denominators``."""
+    return GaussianRational(
+        Fraction(rng.randint(-span, span), rng.choice(denominators)),
+        Fraction(rng.randint(-span, span), rng.choice(denominators)),
+    )
+
+
+def random_two_step(rng, n, density=0.4, name="draw", coefficient=rand_gauss):
     core = rng.randint(1, n)
     diffs = [Form() for _ in range(core)]
     for _ in range(core, n):
         f = Form()
         for a, b in itertools.combinations(range(1, core + 1), 2):
             if rng.random() < density:
-                f = f + rand_gauss(rng) * (alpha(a) ^ alpha(b))
+                f = f + coefficient(rng) * (alpha(a) ^ alpha(b))
         for a in range(1, core + 1):
             for b in range(1, core + 1):
                 if rng.random() < density:
-                    f = f + rand_gauss(rng) * (alpha(a) ^ alphabar(b))
+                    f = f + coefficient(rng) * (alpha(a) ^ alphabar(b))
         diffs.append(f)
     return AlgebraSpec(name, n, diffs)
 

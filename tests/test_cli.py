@@ -268,6 +268,25 @@ def test_product_round_trip(files, capsys, tmp_path):
     assert out == out_path.read_text(encoding="ascii")
 
 
+@pytest.mark.parametrize("where", ["directory", "missing"])
+def test_unreadable_inputs_exit_two(files, capsys, tmp_path, where):
+    path = str(tmp_path if where == "directory" else tmp_path / "missing.json")
+    for argv in (
+        ["table", path],
+        ["metric", files["iwasawa"], "--hmatrix", path, "--check", "skt"],
+        ["product", files["kodaira"], path],
+    ):
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == (2, "", "cannot read %s\n" % path)
+
+
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_unwritable_product_output_exits_two(files, capsys, tmp_path, where):
+    path = str(tmp_path if where == "directory" else tmp_path / "missing" / "x.nc")
+    code, out, err = run(capsys, ["product", files["kodaira"], files["torus1"], "-o", path])
+    assert (code, out, err) == (2, "", "cannot write %s\n" % path)
+
+
 def test_catalog_list_and_show(capsys):
     code, out, _ = run(capsys, ["catalog", "list"])
     assert code == 0

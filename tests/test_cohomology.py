@@ -25,12 +25,13 @@ from nilcoh.cohomology import (
     natural_map_rank,
     operator_matrix,
 )
+from nilcoh.dsl import parse_structure_file
 from nilcoh.forms import Form, alpha, alphabar, component_basis, degree_basis
 from nilcoh.linalg import IndexedMatrix, hstack, rank, vstack
 from nilcoh.scalars import GaussianRational
 
 from oracle import OracleAlgebra, scalar_to_sympy
-from generators import random_two_step
+from generators import rand_gauss_over, random_two_step
 from test_algebra import rand_valid_spec
 
 
@@ -237,22 +238,64 @@ def _columnwise(fn, spec, domain, codomain):
     )
 
 
+def _assert_operators_equal_columnwise_images(spec):
+    shifts = {"del": (del_, 1, 0), "delbar": (delbar, 0, 1), "deldelbar": (deldelbar, 1, 1)}
+    n = spec.n
+    for op, (fn, dp, dq) in shifts.items():
+        for p in range(-1, n + 1):
+            for q in range(-1, n + 1):
+                expected = _columnwise(
+                    fn, spec, component_basis(n, p, q), component_basis(n, p + dp, q + dq)
+                )
+                assert operator_matrix(spec, op, p, q) == expected
+    for k in range(-1, 2 * n + 1):
+        expected = _columnwise(d, spec, degree_basis(n, k), degree_basis(n, k + 1))
+        assert d_matrix(spec, k) == expected
+
+
 def test_operator_matrices_equal_columnwise_images():
     rng = random.Random(97)
-    shifts = {"del": (del_, 1, 0), "delbar": (delbar, 0, 1), "deldelbar": (deldelbar, 1, 1)}
     for trial in range(8):
-        spec = random_two_step(rng, 1 + trial % 4, name="draw%d" % trial)
+        _assert_operators_equal_columnwise_images(
+            random_two_step(rng, 1 + trial % 4, name="draw%d" % trial)
+        )
+
+
+def test_operator_matrices_over_denominators_equal_columnwise_images():
+    # structure constants over 2, 3 and 5 with imaginary parts: the matrices
+    # are Gaussian integers over an lcm L > 1, del.delbar over L^2
+    rng = random.Random(113)
+    seen = set()
+    for trial in range(8):
+        spec = random_two_step(
+            rng,
+            2 + trial % 3,
+            name="draw%d" % trial,
+            coefficient=lambda rng: rand_gauss_over(rng, (1, 2, 3, 5)),
+        )
+        _assert_operators_equal_columnwise_images(spec)
         n = spec.n
-        for op, (fn, dp, dq) in shifts.items():
-            for p in range(-1, n + 1):
-                for q in range(-1, n + 1):
-                    expected = _columnwise(
-                        fn, spec, component_basis(n, p, q), component_basis(n, p + dp, q + dq)
-                    )
-                    assert operator_matrix(spec, op, p, q) == expected
-        for k in range(-1, 2 * n + 1):
-            expected = _columnwise(d, spec, degree_basis(n, k), degree_basis(n, k + 1))
-            assert d_matrix(spec, k) == expected
+        seen.update(
+            operator_matrix(spec, op, p, q).denominator
+            for op in ("del", "delbar", "deldelbar")
+            for p in range(n + 1)
+            for q in range(n + 1)
+        )
+    assert all(any(L % prime == 0 for L in seen) for prime in (2, 3, 5))
+
+
+def test_n6_spots_match_oracle():
+    spec = parse_structure_file(
+        "algebra spot6 dim 6\n"
+        "d a5 = (1/2) * a1 ^ a2\n"
+        "d a6 = (2/3-i) * a1 ^ ~a3 + (1+1/5i) * a2 ^ a4\n"
+    )
+    oracle = OracleAlgebra.from_spec(spec, scalar_to_sympy)
+    expected = {(0, 1): (4, 6), (1, 1): (16, 30), (1, 2): (38, 62)}
+    for (p, q), (bc, ae) in expected.items():
+        assert (oracle.bott_chern_dim(p, q), oracle.aeppli_dim(p, q)) == (bc, ae)
+        assert hodge_number(spec, "bott_chern", p, q) == bc
+        assert hodge_number(spec, "aeppli", p, q) == ae
 
 
 def test_each_matrix_content_is_ranked_once(monkeypatch):

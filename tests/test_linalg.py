@@ -1,5 +1,6 @@
 """Exact rank/kernel/span machinery over the Gaussian rationals."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -143,8 +144,13 @@ def test_vstack_shares_its_operands_rows():
     a = mat([[gr(1), gr(0)], [gr(0), gr(0)]], row_labels=["x", "y"], col_labels=["c0", "c1"])
     b = mat([[gr(0), gr(4)]], row_labels=["z"], col_labels=["c0", "c1"])
     v = vstack(a, b)
-    assert all(r is s for r, s in zip(v.nonzeros(), a.nonzeros() + b.nonzeros()))
+    assert all(r is s for r, s in zip(v.int_rows(), a.int_rows() + b.int_rows()))
     assert v == mat([[gr(1), gr(0)], [gr(0), gr(0)], [gr(0), gr(4)]], ["x", "y", "z"], a.cols)
+    # over a common denominator only the operand that needs scaling is copied
+    c = mat([[gr(Fraction(1, 3)), gr(0)]], row_labels=["w"], col_labels=a.cols)
+    w = vstack(c, a)
+    assert w.denominator == 3 and w.int_rows()[0] is c.int_rows()[0]
+    assert w.int_rows()[1:] == (((0, 3, 0),), ())
 
 
 def test_stacking_many_operands():
@@ -256,6 +262,39 @@ def test_matmul_equals_dense_reference():
     a = mat([[gr(1), gr(1)]], col_labels=["x", "y"])
     b = mat([[gr(2)], [gr(-2)]], row_labels=["x", "y"])
     assert (a @ b).entries == ((gr(0),),) and (a @ b).nonzeros() == ((),)
+
+
+def _over(rng, nr, nc, den, density=0.5):
+    """A matrix of Gaussian integers over ``den`` with one entry 1/den, so
+    that ``den`` is its denominator."""
+    rows = [
+        [gr(Fraction(rng.randint(-4, 4), den), Fraction(rng.randint(-4, 4), den))
+         if rng.random() < density else gr(0) for _ in range(nc)]
+        for _ in range(nr)
+    ]
+    rows[0][0] = gr(Fraction(1, den))
+    return IndexedMatrix(range(nr), range(nc), rows)
+
+
+def test_product_and_stacks_over_different_denominators_equal_dense_reference():
+    rng = random.Random(127)
+    for da, db in ((1, 3), (2, 5), (6, 4), (5, 5)):
+        a, b = _over(rng, 5, 6, da), _over(rng, 6, 4, db)
+        assert (a.denominator, b.denominator) == (da, db)
+        prod = a @ b
+        assert prod.denominator == da * db
+        assert [list(row) for row in prod.entries] == _dense_product(a, b)
+        assert prod == IndexedMatrix(prod.rows, prod.cols, _dense_product(a, b))
+        c = _over(rng, 3, 6, db)
+        v = vstack(a, c)
+        assert v.entries == a.entries + c.entries
+        d = _over(rng, 5, 2, db)
+        h = hstack(a, d)
+        assert h.entries == tuple(x + y for x, y in zip(a.entries, d.entries))
+        for m in (prod, v, h):
+            assert [sorted(row) for row in m.nonzeros()] == _scanned_nonzeros(m)
+            assert m.denominator % math.lcm(da, db) == 0
+            assert rank(m) == to_sympy(m).rank()
 
 
 def _dense_rows(rng, nr, nc, density):
@@ -517,7 +556,7 @@ def test_prime_and_square_root_of_minus_one():
 
 
 def bounds(m):
-    rows = m.nonzeros()
+    rows = m.int_rows()
     return nilcoh.linalg._rank_mod_p(rows), nilcoh.linalg._structural_rank(rows)
 
 
