@@ -14,10 +14,10 @@ each spec keeps one table of the generator differentials and their
 conjugates as (mask, Gaussian integer) terms over the lcm L of their
 denominators.  ``d`` of a monomial places each term g of d a_j straight
 past the rest of the monomial, with the sign of g ^ rest times (-1)^k for
-the factor's position k, both read off with ``int.bit_count``; that one
-routine, :func:`_d_terms`, gives the Forms that d, del and delbar return
-and the Gaussian-integer operator matrices of
-:func:`differential_matrix`.
+the factor's position k, both read off with ``int.bit_count``.  That one
+routine, :func:`_d_terms`, applies d, del and delbar to Gaussian-integer
+combinations: it builds the operator matrices of :func:`differential_matrix`,
+and the Forms that d, del and delbar return are built from its final result.
 
 The Jacobi identity of the dual Lie algebra is exactly ``d . d = 0``, and
 on an anti-derivation that only needs checking on generators.
@@ -31,13 +31,11 @@ stabilizes at the full 2n-dimensional space exactly in the nilpotent case.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cache
 from itertools import combinations
 
-from .forms import BasisForm, Form, _mask_indices, degree_basis
+from .forms import BasisForm, Form, _mask_form, _mask_indices, degree_basis
 from .linalg import IndexedMatrix, _integer_rows, kernel_basis, span_basis
-from .scalars import GaussianRational
 
 _ALLOWED_BIDEGREES = {(2, 0), (1, 1)}
 
@@ -82,12 +80,7 @@ class AlgebraSpec:
         return self.d_generators[i - 1]
 
     def d_alphabar(self, i: int) -> Form:
-        key = ("dbar", i)
-        cached = self._caches.get(key)
-        if cached is None:
-            cached = self.d_generators[i - 1].conjugate()
-            self._caches[key] = cached
-        return cached
+        return self.d_generators[i - 1].conjugate()
 
     def __eq__(self, other):
         return (
@@ -134,10 +127,6 @@ def _basis_masks(n: int, basis) -> tuple:
     return tuple(_mask(n, bf) for bf in basis)
 
 
-def _monomial(n: int, mask: int) -> BasisForm:
-    return BasisForm(_mask_indices(mask & ((1 << n) - 1)), _mask_indices(mask >> n))
-
-
 def _term_tables(spec: AlgebraSpec):
     """``(L, tables)``: L is the lcm of the denominators of the generator
     differentials.  ``tables[None]`` lists, for the bit b of each generator
@@ -175,71 +164,68 @@ def _term_tables(spec: AlgebraSpec):
     return out
 
 
-def _d_terms(table, m: int) -> dict:
-    """d (or with the del or delbar table, del or delbar) of the monomial
-    with mask m over the table's L, as a dict mask -> (re, im) of its
-    nonzero coefficients times L.
+def _d_terms(table, terms) -> dict:
+    """d (or with the del or delbar table, del or delbar) of ``terms``, a
+    dict mask -> (re, im) of Gaussian integers, as the same kind of dict
+    over the table's L.
 
-    Each term g of d of the factor at bit b lands on rest | g, where rest
-    is m without b, when g misses rest.  Its sign is (-1)^k, k the number
-    of factors before b, times the sign of the shuffle sorting the word
-    g rest; the factors of rest below b count towards k, and those below
-    each factor of g towards the shuffle, so the parity of the number of
-    bits of ``rest & s`` is that of the sign."""
+    Each term g of d of the factor at bit b of a monomial m lands on
+    rest | g, where rest is m without b, when g misses rest.  Its sign is
+    (-1)^k, k the number of factors before b, times the sign of the shuffle
+    sorting the word g rest; the factors of rest below b count towards k,
+    and those below each factor of g towards the shuffle, so the parity of
+    the number of bits of ``rest & s`` is that of the sign."""
     out = {}
-    for b, terms in table:
-        if not m & b:
-            continue
-        rest = m ^ b
-        for g, s, re, im in terms:
-            if rest & g:
+    for m, (cr, ci) in terms.items():
+        for b, placed in table:
+            if not m & b:
                 continue
-            w = rest | g
-            if (rest & s).bit_count() & 1:
-                re, im = -re, -im
-            x = out.get(w)
-            if x is None:
-                out[w] = (re, im)
-            elif x[0] + re or x[1] + im:
-                out[w] = (x[0] + re, x[1] + im)
-            else:
-                del out[w]
+            rest = m ^ b
+            for g, s, re, im in placed:
+                if rest & g:
+                    continue
+                w = rest | g
+                xr = cr * re - ci * im
+                xi = cr * im + ci * re
+                if (rest & s).bit_count() & 1:
+                    xr, xi = -xr, -xi
+                x = out.get(w)
+                if x is None:
+                    out[w] = (xr, xi)
+                elif x[0] + xr or x[1] + xi:
+                    out[w] = (x[0] + xr, x[1] + xi)
+                else:
+                    del out[w]
     return out
 
 
-def _d_monomial(spec: AlgebraSpec, bf: BasisForm, dp=None) -> Form:
-    """d of one monomial as a Form, or with dp = 1 (dp = 0) only its terms
-    that raise p (q), read off the term table."""
-    cache = spec._caches.setdefault("d_monomial", {})
-    out = cache.get((bf, dp))
-    if out is None:
-        n = spec.n
-        den, tables = _term_tables(spec)
-        out = cache[bf, dp] = Form(
-            {
-                _monomial(n, w): GaussianRational(Fraction(re, den), Fraction(im, den))
-                for w, (re, im) in _d_terms(tables[dp], _mask(n, bf)).items()
-            }
-        )
-    return out
+def _apply(spec: AlgebraSpec, terms, den, *dps) -> Form:
+    """The Form of ``terms`` (a dict mask -> (re, im)) over den after the
+    term tables ``dps`` in turn (None is d, 1 del and 0 delbar), which keep
+    Gaussian integers, over den * L^k after k tables, up to the end."""
+    scale, tables = _term_tables(spec)
+    for dp in dps:
+        terms = _d_terms(tables[dp], terms)
+        den *= scale
+    return _mask_form(spec.n, terms, den)
 
 
-def _differentiate(spec: AlgebraSpec, x: Form, dp=None) -> Form:
-    """d of x, or with dp = 1 (dp = 0) only the terms of d of each monomial
-    that raise its p (its q): del (delbar) on each homogeneous piece."""
+def _differentiate(spec: AlgebraSpec, x: Form, *dps) -> Form:
+    """x after the term tables ``dps`` (see :func:`_apply`); del (delbar)
+    keeps the terms of d of each monomial that raise its p (its q)."""
     if x.max_index() > spec.n:
         raise ValueError(
             "form references generator a%d beyond dimension %d"
             % (x.max_index(), spec.n)
         )
-    return Form(
-        (g, c * e) for bf, c in x.terms() for g, e in _d_monomial(spec, bf, dp).terms()
-    )
+    n = spec.n
+    (row,), den = _integer_rows([[(_mask(n, bf), c) for bf, c in x.terms()]])
+    return _apply(spec, {m: (re, im) for m, re, im in row}, den, *dps)
 
 
 def d(spec: AlgebraSpec, x: Form) -> Form:
     """Total differential (anti-derivation extending the generator data)."""
-    return _differentiate(spec, x)
+    return _differentiate(spec, x, None)
 
 
 def del_(spec: AlgebraSpec, x: Form) -> Form:
@@ -253,7 +239,8 @@ def delbar(spec: AlgebraSpec, x: Form) -> Form:
 
 
 def deldelbar(spec: AlgebraSpec, x: Form) -> Form:
-    return del_(spec, delbar(spec, x))
+    """del of delbar of x."""
+    return _differentiate(spec, x, 0, 1)
 
 
 def _coefficient_matrix(codomain, cols, images) -> IndexedMatrix:
@@ -282,7 +269,7 @@ def differential_matrix(spec: AlgebraSpec, domain, codomain, dp=None) -> Indexed
     index = {w: i for i, w in enumerate(_basis_masks(n, codomain))}
     rows = [[] for _ in codomain]
     for col, m in enumerate(_basis_masks(n, domain)):
-        for w, (re, im) in _d_terms(table, m).items():
+        for w, (re, im) in _d_terms(table, {m: (1, 0)}).items():
             i = index.get(w)
             if i is not None:
                 rows[i].append((col, re, im))
@@ -304,7 +291,7 @@ def nilpotency_filtration(spec: AlgebraSpec):
     n = spec.n
     v_basis = degree_basis(n, 1)
     two_basis = degree_basis(n, 2)
-    d_images = [_d_monomial(spec, bf) for bf in v_basis]
+    d_images = [_apply(spec, {m: (1, 0)}, 1, None) for m in _basis_masks(n, v_basis)]
 
     prev_vectors = []
     dims = []

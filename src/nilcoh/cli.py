@@ -57,9 +57,11 @@ def _read_hmatrix(path: str):
         H.append([])
         for j, cell in enumerate(row):
             try:
-                H[-1].append(
-                    GaussianRational(Fraction(cell["re"]), Fraction(cell.get("im", "0")))
-                )
+                parts = (cell["re"], cell.get("im", "0"))
+                # a JSON float (or bool) is no exact scalar: 0.1 is not 1/10
+                if any(isinstance(x, (bool, float)) for x in parts):
+                    raise TypeError(cell)
+                H[-1].append(GaussianRational(*map(Fraction, parts)))
             except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError):
                 raise ValueError(
                     '%s: H[%d][%d] is not a scalar {"re": p/q, "im": p/q}: %s'
@@ -297,9 +299,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except StructureSyntaxError as exc:

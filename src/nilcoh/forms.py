@@ -339,3 +339,13 @@ def wedge(x: Form, y: Form) -> Form:
 
 def conjugate(x: Form) -> Form:
     return x.conjugate()
+
+
+def _mask_form(n: int, terms, den) -> Form:
+    """The Form of a dict mask -> (re, im) of Gaussian integers over
+    ``den``, where a_j is bit j - 1 of a mask and ~a_j bit n + j - 1."""
+    return Form(
+        (BasisForm(_mask_indices(w & ((1 << n) - 1)), _mask_indices(w >> n)),
+         GaussianRational(Fraction(re, den), Fraction(im, den)))
+        for w, (re, im) in terms.items()
+    )

@@ -10,7 +10,8 @@ since a term a_j1^~a_k1 ^ ... ^ a_jk^~a_kk reorders to a_S ^ ~a_T with
 the sign (-1)^(k(k-1)/2) times the signs of the permutations j and k, and
 the k! orderings of the factors give the same term.  The minors are
 computed exactly over the Gaussian integers (see
-:meth:`MetricForm.wedge_power`).
+:meth:`MetricForm._power_from_minors`); the checks differentiate those
+integers (:func:`nilcoh.algebra._apply`) and build a Form only at the end.
 
 Positivity (H positive definite) is decided exactly by Sylvester's
 criterion on leading principal minors and is reported, not required: the
@@ -49,8 +50,8 @@ from fractions import Fraction
 from itertools import product
 from math import factorial
 
-from .algebra import AlgebraSpec, d, deldelbar
-from .forms import BasisForm, Form, _mask_indices
+from .algebra import AlgebraSpec, _apply
+from .forms import Form, _mask_form
 from .linalg import _echelon, _integer_rows, _nonzero_pairs
 from .scalars import GaussianRational
 
@@ -90,16 +91,13 @@ class MetricForm:
         return self.wedge_power(1)
 
     def wedge_power(self, k: int) -> Form:
-        """omega^k, from the k x k minors of H:
+        """omega^k from the k x k minors of H (see the module docstring), with
+        omega^0 = 1 and omega^k = 0 for k > n."""
+        return _mask_form(self.n, *self._power(k))
 
-            omega^k = k! i^k (-1)^(k(k-1)/2) sum_{|S|=|T|=k} det H[S,T] a_S ^ ~a_T
-
-        with omega^0 = 1 and omega^k = 0 for k > n.  H is scaled to
-        Gaussian integers by the lcm L of its denominators, and the minors
-        of L*H are built level by level by Laplace expansion along the
-        first row of S, keyed by row and column bitmasks; only the nonzero
-        minors of one level are kept.  Dividing by L^k at the end gives the
-        exact coefficients.  Each requested power is memoized."""
+    def _power(self, k: int):
+        """omega^k as ``(terms, L^k)``, ``terms`` a dict mask -> (re, im) of
+        Gaussian integers over L^k; each requested power is memoized."""
         if k < 0:
             raise ValueError("wedge power wants a nonnegative exponent")
         cached = self._cache.get(k)
@@ -107,12 +105,18 @@ class MetricForm:
             cached = self._cache[k] = self._power_from_minors(k)
         return cached
 
-    def _power_from_minors(self, k: int) -> Form:
+    def _power_from_minors(self, k: int):
+        """H is scaled to Gaussian integers by the lcm L of its
+        denominators, and the minors of L*H are built level by level by
+        Laplace expansion along the first row of S, keyed by row and column
+        bitmasks; only the nonzero minors of one level are kept.  Over L^k
+        they give the exact coefficients of omega^k, keyed by the mask
+        ``S | T << n`` of a_S ^ ~a_T."""
         n = self.n
         if k == 0:
-            return Form.scalar(1)
+            return {0: (1, 0)}, 1
         if k > n:
-            return Form()
+            return {}, 1
         int_rows, scale = _integer_rows(map(_nonzero_pairs, self.H))
         rows = [[(1 << t, gr, gi) for t, gr, gi in row] for row in int_rows]
         # level m maps a row mask to {column mask: minor}.  A row set that
@@ -145,17 +149,13 @@ class MetricForm:
             level = {smask: acc for smask, acc in grown.items() if acc}
         # i^k (-1)^(k(k-1)/2) = i^(k^2): 1 for even k, i for odd k
         factor = factorial(k)
-        denom = scale**k
         terms = {}
         for smask, minors in level.items():
-            holo = _mask_indices(smask)
             for tmask, (vr, vi) in minors.items():
                 if k & 1:
                     vr, vi = -vi, vr
-                terms[BasisForm(holo, _mask_indices(tmask))] = GaussianRational(
-                    Fraction(factor * vr, denom), Fraction(factor * vi, denom)
-                )
-        return Form(terms)
+                terms[smask | tmask << n] = (factor * vr, factor * vi)
+        return terms, scale**k
 
     def leading_minors(self):
         """Leading principal minor determinants (exact, real rationals).
@@ -240,19 +240,14 @@ def check_condition(spec: AlgebraSpec, m: MetricForm, cond: str) -> CheckResult:
             raise ValueError("pluriclosed:K needs K in 1..%d, got %d" % (spec.n, k))
         return _pluriclosed(spec, m, name, spec.n - k)
     if name in ("ftpair", "ft_pair"):
-        first = deldelbar(spec, m.wedge_power(1))
-        if first:
-            return CheckResult("ft_pair", False, first)
-        second = deldelbar(spec, m.wedge_power(2))
-        return CheckResult("ft_pair", not second, second)
+        first = _pluriclosed(spec, m, "ft_pair", 1)
+        return _pluriclosed(spec, m, "ft_pair", 2) if first.holds else first
     if name == "kahler":
-        w = d(spec, m.omega)
-        return CheckResult(name, not w, w)
+        return _pluriclosed(spec, m, name, 1, (None,))
     if name == "gauduchon":
         return _pluriclosed(spec, m, name, spec.n - 1)
     if name == "skt":
-        w = deldelbar(spec, m.omega)
-        return CheckResult(name, not w, w)
+        return _pluriclosed(spec, m, name, 1)
     if name == "astheno":
         return _pluriclosed(spec, m, name, spec.n - 2)
     raise ValueError(
@@ -261,10 +256,12 @@ def check_condition(spec: AlgebraSpec, m: MetricForm, cond: str) -> CheckResult:
     )
 
 
-def _pluriclosed(spec, m, label, exponent) -> CheckResult:
+def _pluriclosed(spec, m, label, exponent, dps=(0, 1)) -> CheckResult:
+    """Witness of ``label``: omega^exponent after the term tables ``dps``
+    (delbar, then del, by default); true with none for an exponent below 1."""
     if exponent <= 0:
         return CheckResult(label, True, Form())
-    w = deldelbar(spec, m.wedge_power(exponent))
+    w = _apply(spec, *m._power(exponent), *dps)
     return CheckResult(label, not w, w)
 
 

@@ -14,6 +14,7 @@ import itertools
 from fractions import Fraction
 
 from nilcoh.algebra import AlgebraSpec
+from nilcoh.catalog import exnilp_spec, fps_spec
 from nilcoh.forms import Form, alpha, alphabar
 from nilcoh.scalars import GaussianRational
 
@@ -47,6 +48,28 @@ def random_two_step(rng, n, density=0.4, name="draw", coefficient=rand_gauss):
                     f = f + coefficient(rng) * (alpha(a) ^ alphabar(b))
         diffs.append(f)
     return AlgebraSpec(name, n, diffs)
+
+
+def rand_rational(rng):
+    """A Gaussian rational over denominators drawn from 1, 2, 3 and 5."""
+    return rand_gauss_over(rng, (1, 2, 3, 5))
+
+
+def rational_specs(rng):
+    """Specs at n = 3 and 4 with structure constants over denominators 1,
+    2, 3 and 5: one fps draw, one exnilp draw per dimension and two
+    two-step draws at n = 4."""
+    specs = [fps_spec(*(rand_rational(rng) for _ in range(5)))]
+    for n in (3, 4):
+        m = n - 1
+        A = [[rand_rational(rng) if i < j else 0 for j in range(m)] for i in range(m)]
+        B = [[rand_rational(rng) for _ in range(m)] for _ in range(m)]
+        specs.append(exnilp_spec(n, A, B))
+    specs += [
+        random_two_step(rng, 4, density=0.6, name="q%d" % k, coefficient=rand_rational)
+        for k in range(2)
+    ]
+    return specs
 
 
 def is_abelian(spec: AlgebraSpec) -> bool:

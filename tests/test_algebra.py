@@ -14,10 +14,10 @@ from nilcoh.catalog import (
     nakamura_ce_spec,
     torus_spec,
 )
-from nilcoh.forms import Form, alpha, alphabar, conjugate
+from nilcoh.forms import Form, alpha, alphabar, component_basis, conjugate
 from nilcoh.scalars import GaussianRational
 
-from generators import random_two_step
+from generators import rand_rational, random_two_step, rational_specs
 from oracle import OracleAlgebra, form_to_mv, mv_equal, scalar_to_sympy
 from test_forms import rand_form
 
@@ -117,7 +117,7 @@ def test_d_matches_oracle():
         nakamura_ce_spec(),
         fps_spec(*(GaussianRational(k) for k in (1, -1, 2, 0, 1))),
     ]
-    for spec in specs:
+    for spec in specs + rational_specs(rng):
         oracle = OracleAlgebra.from_spec(spec, scalar_to_sympy)
         for _ in range(10):
             f = rand_form(rng, spec.n)
@@ -127,15 +127,25 @@ def test_d_matches_oracle():
 
 
 def test_del_and_delbar_match_oracle():
+    """del, delbar and deldelbar of forms with rational coefficients, random
+    ones and ones on every monomial of bidegree (1,1) and (2,1), on specs
+    with integer and with rational structure constants."""
     rng = random.Random(97)
-    for k in range(12):
-        spec = random_two_step(rng, rng.randint(1, 4), name="draw%d" % k)
+    specs = [random_two_step(rng, rng.randint(1, 4), name="draw%d" % k) for k in range(12)]
+    for spec in specs + rational_specs(rng):
         oracle = OracleAlgebra.from_spec(spec, scalar_to_sympy)
-        for _ in range(4):
-            f = rand_form(rng, spec.n)
+        forms = [rand_form(rng, spec.n) for _ in range(4)]
+        forms += [
+            Form({bf: rand_rational(rng) for bf in component_basis(spec.n, p, q)})
+            for p, q in ((1, 1), (2, 1))
+        ]
+        for f in forms:
             mv = form_to_mv(f)
             assert mv_equal(form_to_mv(del_(spec, f)), oracle.del_mv(mv))
             assert mv_equal(form_to_mv(delbar(spec, f)), oracle.delbar_mv(mv))
+            assert mv_equal(
+                form_to_mv(deldelbar(spec, f)), oracle.del_mv(oracle.delbar_mv(mv))
+            )
 
 
 def test_validate_worked_examples():

@@ -151,7 +151,17 @@ def test_zero_denominator_coefficient_exits_two(tmp_path, capsys):
     assert "line 2, col 9" in err
 
 
-@pytest.mark.parametrize("payload", [{"H": [[1]]}, [1, 2], {"H": [[{"re": "1/0"}]]}])
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"H": [[1]]},
+        [1, 2],
+        {"H": [[{"re": "1/0"}]]},
+        {"H": [[{"re": 0.5}]]},
+        {"H": [[{"re": True}]]},
+        {"H": [[{"re": "1", "im": 1.5}]]},
+    ],
+)
 def test_malformed_hmatrix_exits_two(files, capsys, tmp_path, payload):
     hpath = tmp_path / "H.json"
     hpath.write_text(json.dumps(payload), encoding="ascii")

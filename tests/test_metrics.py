@@ -10,6 +10,7 @@ from sympy import I as SYMPY_I
 from sympy import Matrix, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
+import nilcoh.algebra
 import nilcoh.metrics
 
 from nilcoh.algebra import deldelbar
@@ -33,7 +34,8 @@ from nilcoh.metrics import (
 )
 from nilcoh.scalars import GaussianRational
 
-from oracle import scalar_to_sympy
+from generators import rational_specs
+from oracle import OracleAlgebra, form_to_mv, mv_equal, mv_wedge, scalar_to_sympy
 
 
 def gr(re, im=0):
@@ -262,6 +264,93 @@ def test_checks_are_scale_invariant():
         a = check_condition(iw, diagonal_metric(3), cond).holds
         b = check_condition(iw, diagonal_metric(3, [Fraction(2)] * 3), cond).holds
         assert a == b
+
+
+def _complex_hermitian(rng, n):
+    """A Hermitian matrix with complex off-diagonal entries over
+    denominators 2 and 3 and a positive diagonal."""
+    def q():
+        return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((2, 3)))
+
+    H = [[gr(0)] * n for _ in range(n)]
+    for j in range(n):
+        H[j][j] = gr(abs(q()) + n)
+        for k in range(j + 1, n):
+            H[j][k] = gr(q(), q())
+            H[k][j] = H[j][k].conjugate()
+    return H
+
+
+def _oracle_powers(H):
+    """omega^0 .. omega^n with omega = i sum H[j][k] a_j ^ ~a_k, as oracle
+    multivectors built by repeated wedges."""
+    n = len(H)
+    omega = {
+        (j + 1, -(k + 1)): SYMPY_I * scalar_to_sympy(H[j][k])
+        for j in range(n)
+        for k in range(n)
+        if H[j][k]
+    }
+    powers = [{(): 1}]
+    for _ in range(n):
+        powers.append(mv_wedge(powers[-1], omega))
+    return powers
+
+
+def test_check_condition_witnesses_match_oracle():
+    """The witness of every condition, for complex H over denominators 2
+    and 3 on specs with rational structure constants, is the oracle's d or
+    del delbar of omega^k."""
+    rng = random.Random(1019)
+    seen = set()
+    for spec in rational_specs(rng):
+        n = spec.n
+        H = _complex_hermitian(rng, n)
+        met = build_metric(n, H)
+        oracle = OracleAlgebra.from_spec(spec, scalar_to_sympy)
+        powers = _oracle_powers(H)
+
+        def ddbar(k):
+            return oracle.del_mv(oracle.delbar_mv(powers[k]))
+
+        skt = ddbar(1)
+        expected = {
+            "kahler": oracle.d_mv(powers[1]),
+            "skt": skt,
+            "astheno": ddbar(n - 2),
+            "ft_pair": skt or ddbar(2),
+        }
+        expected.update(("pluriclosed:%d" % k, ddbar(n - k)) for k in range(1, n + 1))
+        for cond, want in expected.items():
+            result = check_condition(spec, met, cond)
+            assert mv_equal(form_to_mv(result.witness), want), (spec.d_generators, cond)
+            assert result.holds == (not want)
+            seen.add(result.holds)
+    assert seen == {True, False}
+
+
+def test_check_condition_builds_no_intermediate_form(monkeypatch):
+    """A check goes from the Gaussian-integer power to its witness without
+    a Form of omega^k or of a differential in between."""
+
+    def refuse(*args):
+        raise AssertionError("intermediate Form")
+
+    monkeypatch.setattr(MetricForm, "wedge_power", refuse)
+    monkeypatch.setattr(nilcoh.algebra, "_differentiate", refuse)
+    met = diagonal_metric(3)
+    verdicts = {
+        cond: check_condition(iwasawa_spec(), met, cond).holds
+        for cond in ("kahler", "gauduchon", "skt", "astheno", "ft_pair", "pluriclosed:3")
+    }
+    assert verdicts == {
+        "kahler": False,
+        "gauduchon": True,
+        "skt": False,
+        "astheno": False,
+        "ft_pair": False,
+        "pluriclosed:3": True,
+    }
 
 
 def test_exnilp_lhs_values():
