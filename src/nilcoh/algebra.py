@@ -316,10 +316,13 @@ def nilpotency_filtration(spec: AlgebraSpec):
 
 def jacobi_failures(spec: AlgebraSpec) -> list:
     """The Jacobi check: ``(i, d d a_i)`` for each generator a_i whose
-    d d a_i is nonzero (empty when d.d = 0)."""
-    return [
-        (i, dd) for i in range(1, spec.n + 1) if (dd := d(spec, spec.d_alpha(i)))
-    ]
+    d d a_i is nonzero (empty when d.d = 0).  Run once per spec."""
+    cached = spec._caches.get("jacobi")
+    if cached is None:
+        cached = spec._caches["jacobi"] = [
+            (i, dd) for i in range(1, spec.n + 1) if (dd := d(spec, spec.d_alpha(i)))
+        ]
+    return cached
 
 
 def validate(spec: AlgebraSpec) -> ValidationReport:

@@ -38,7 +38,7 @@ from math import comb
 
 from .algebra import AlgebraSpec, direct_sum, validate
 from .cohomology import derham_betti, hodge_number, hodge_table, natural_map_rank
-from .forms import Form, alpha, alphabar
+from .forms import BasisForm, Form, alpha, alphabar
 from .metrics import (
     MetricForm,
     _coefficient_grid,
@@ -130,15 +130,10 @@ def exnilp_spec(n: int, A, B) -> AlgebraSpec:
     other generators closed; A strictly upper triangular."""
     a = _coefficient_grid(n, A, "A")
     b = _coefficient_grid(n, B, "B")
-    dn = Form()
-    for i in range(n - 1):
-        for j in range(i + 1, n - 1):
-            if a[i][j]:
-                dn = dn + a[i][j] * (alpha(i + 1) ^ alpha(j + 1))
-    for i in range(n - 1):
-        for j in range(n - 1):
-            if b[i][j]:
-                dn = dn + b[i][j] * (alpha(i + 1) ^ alphabar(j + 1))
+    dn = Form(
+        [(BasisForm((i + 1, j + 1)), a[i][j]) for i in range(n - 1) for j in range(i + 1, n - 1)]
+        + [(BasisForm((i + 1,), (j + 1,)), b[i][j]) for i in range(n - 1) for j in range(n - 1)]
+    )
     return AlgebraSpec("exnilp%d" % n, n, [Form() for _ in range(n - 1)] + [dn])
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .algebra import ValidationReport, direct_sum, jacobi_failures, validate
 from .catalog import CatalogKeyError, catalog_get, catalog_list, run_suite
-from .cohomology import derham_betti, hodge_table
+from .cohomology import THEORY_TABLE, derham_betti, hodge_table
 from .dsl import StructureSyntaxError, format_structure_file, read_structure_file
 from .metrics import MetricForm, build_metric, check_condition, diagonal_metric
 from .obstructions import obstruction_report
@@ -29,14 +29,11 @@ from .reports import (
 )
 from .scalars import GaussianRational, parse_scalar
 
+# each theory by its JSON key and by its own name, and the de Rham betti numbers
 _THEORY_ALIASES = {
-    "bc": "bott_chern",
-    "bott_chern": "bott_chern",
-    "aeppli": "aeppli",
-    "dolbeault": "dolbeault",
-    "conj_dolbeault": "conj_dolbeault",
-    "derham": "derham",
+    name: theory for theory, (key, _, _) in THEORY_TABLE.items() for name in (key, theory)
 }
+_THEORY_ALIASES["derham"] = "derham"
 
 
 def _fail_usage(message: str) -> int:

@@ -2,9 +2,10 @@
 Bott-Chern, Aeppli, and total-degree de Rham dimensions.
 
 Everything is computed at the level of invariant forms (the exterior
-algebra of the spec).  Each dimension is one call of
-:func:`nilcoh.linalg.subquotient_dim`: the kernel of some operators
-stacked together, modulo the span of some operators placed side by side:
+algebra of the spec).  Each group is one kernel modulo one image, and
+each dimension is one call of :func:`nilcoh.linalg.subquotient_dim` on
+that pair.  :data:`THEORY_TABLE` describes each theory by the operators
+stacked into its kernel and the operators joined into its image:
 
 * dolbeault        ker(delbar on (p,q))          / delbar (p,q-1)
 * conj_dolbeault   ker(del on (p,q))             / del (p-1,q)
@@ -15,8 +16,8 @@ stacked together, modulo the span of some operators placed side by side:
 The del and delbar matrices out of each (p,q), and the d matrix on each
 degree, are built by :func:`nilcoh.algebra.differential_matrix`; del.delbar
 is the product of the two cached factors.  Each operator matrix, and each
-Bott-Chern kernel stack, is built once per spec and keeps its rank once
-computed.
+theory's (kernel, image) pair, is built once per spec and keeps its rank
+once computed.
 
 Each hodge table carries a validity flag: ``nilpotent_J`` when the
 nilpotency filtration closes at the full degree-one space (for those specs
@@ -40,11 +41,16 @@ from .linalg import (
     subquotient_dim,
     vstack,
 )
-from .scalars import GaussianRational
 
-THEORIES = ("dolbeault", "conj_dolbeault", "bott_chern", "aeppli")
-
-_ZERO = GaussianRational(0)
+# theory -> (JSON key and short CLI name, kernel operators, image operators),
+# an operator (op, dp, dq) being operator_matrix(spec, op, p + dp, q + dq)
+THEORY_TABLE = {
+    "dolbeault": ("dolbeault", (("delbar", 0, 0),), (("delbar", 0, -1),)),
+    "conj_dolbeault": ("conj_dolbeault", (("del", 0, 0),), (("del", -1, 0),)),
+    "bott_chern": ("bc", (("del", 0, 0), ("delbar", 0, 0)), (("deldelbar", -1, -1),)),
+    "aeppli": ("aeppli", (("deldelbar", 0, 0),), (("del", -1, 0), ("delbar", 0, -1))),
+}
+THEORIES = tuple(THEORY_TABLE)
 
 
 @dataclass
@@ -90,31 +96,28 @@ def d_matrix(spec: AlgebraSpec, k: int) -> IndexedMatrix:
 
 
 def _theory_operators(spec: AlgebraSpec, theory: str, p: int, q: int):
-    """``(kernel_of, images)``: h^{p,q} of the theory is the dimension of
-    ker(kernel_of) modulo the joint span of the images' columns.
+    """``(kernel_of, image)``: h^{p,q} of the theory is the dimension of
+    ker(kernel_of) modulo the span of image's columns.
 
-    The Bott-Chern kernel stacks del and delbar out of (p,q), so its kernel
-    is the d-closed (p,q)-forms.  The stack shares the row tuples of its
-    halves, so it is kept in the spec's matrix cache beside them and a
-    repeated query reuses its stored rank.  Where one half has no rows, the
-    stack is the cached other half itself.
+    kernel_of stacks the theory's kernel operators with ``vstack`` (for
+    Bott-Chern, del and delbar out of (p,q), whose common kernel is the
+    d-closed (p,q)-forms) and image joins its image operators with
+    ``hstack``.  The pair is kept in the spec's matrix cache beside the
+    operators, so each group is built and ranked once.
     """
-    def op(name, p, q):
-        return operator_matrix(spec, name, p, q)
+    cache = spec._caches.setdefault("matrices", {})
+    key = (theory, p, q)
+    pair = cache.get(key)
+    if pair is None:
+        if theory not in THEORY_TABLE:
+            raise ValueError("unknown theory %r (choose from %s)" % (theory, THEORIES))
+        _, kernel, image = THEORY_TABLE[theory]
 
-    if theory == "dolbeault":
-        return op("delbar", p, q), [op("delbar", p, q - 1)]
-    if theory == "conj_dolbeault":
-        return op("del", p, q), [op("del", p - 1, q)]
-    if theory == "bott_chern":
-        cache = spec._caches.setdefault("matrices", {})
-        key = ("del|delbar", p, q)
-        if key not in cache:
-            cache[key] = vstack(op("del", p, q), op("delbar", p, q))
-        return cache[key], [op("deldelbar", p - 1, q - 1)]
-    if theory == "aeppli":
-        return op("deldelbar", p, q), [op("del", p - 1, q), op("delbar", p, q - 1)]
-    raise ValueError("unknown theory %r (choose from %s)" % (theory, THEORIES))
+        def join(stack, ops):
+            return stack(*(operator_matrix(spec, op, p + dp, q + dq) for op, dp, dq in ops))
+
+        pair = cache[key] = (join(vstack, kernel), join(hstack, image))
+    return pair
 
 
 def hodge_number(spec: AlgebraSpec, theory: str, p: int, q: int) -> int:
@@ -142,7 +145,7 @@ def hodge_table(spec: AlgebraSpec, theory: str) -> HodgeTable:
 def derham_betti(spec: AlgebraSpec) -> list:
     """Betti numbers b_0 .. b_{2n} of the total complex."""
     return [
-        subquotient_dim(d_matrix(spec, k), [d_matrix(spec, k - 1)])
+        subquotient_dim(d_matrix(spec, k), d_matrix(spec, k - 1))
         for k in range(2 * spec.n + 1)
     ]
 
@@ -156,22 +159,11 @@ def class_representatives(spec: AlgebraSpec, theory: str, p: int, q: int):
     """
     if not (0 <= p <= spec.n and 0 <= q <= spec.n):
         return []
-    kernel_of, images = _theory_operators(spec, theory, p, q)
-    image = hstack(*images)
+    kernel_of, image = _theory_operators(spec, theory, p, q)
     kernel_vectors = kernel_basis(kernel_of)
-    columns = {}
-    for i, row in enumerate(image.nonzeros()):
-        for j, z in row:
-            columns.setdefault(j, {})[i] = z
-    image_columns = [
-        tuple(columns[j].get(i, _ZERO) for i in range(image.nrows))
-        for j in sorted(columns)
-    ]
-    chosen = greedy_complement(image_columns, kernel_vectors)
-    domain = kernel_of.cols
     return [
-        Form({bf: c for bf, c in zip(domain, kernel_vectors[i]) if c})
-        for i in chosen
+        Form({bf: c for bf, c in zip(kernel_of.cols, kernel_vectors[i]) if c})
+        for i in greedy_complement(image, kernel_vectors)
     ]
 
 
@@ -183,12 +175,12 @@ def natural_map_rank(spec: AlgebraSpec, p: int, q: int) -> int:
     del-image and a delbar-image, modulo del.delbar-images; its dimension
     is computed from ranks of concatenated operators."""
     h_bc = hodge_number(spec, "bott_chern", p, q)
-    image = hstack(*_theory_operators(spec, "aeppli", p, q)[1])
+    image = _theory_operators(spec, "aeppli", p, q)[1]
     if image.ncols == 0:
         return h_bc
     closed, exact = _theory_operators(spec, "bott_chern", p, q)
     intersection_dim = rank(image) - rank(closed @ image)
-    kernel_dim = intersection_dim - rank(hstack(*exact))
+    kernel_dim = intersection_dim - rank(exact)
     if kernel_dim < 0:
         raise ArithmeticError("natural map kernel has negative dimension")
     return h_bc - kernel_dim

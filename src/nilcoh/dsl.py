@@ -26,7 +26,7 @@ from __future__ import annotations
 import re as _re
 
 from .algebra import AlgebraSpec
-from .forms import Form, alpha, alphabar
+from .forms import BasisForm, Form, wedge_basis
 from .scalars import parse_scalar
 
 _IDENT_RE = _re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -113,7 +113,9 @@ def _parse_factor(sc: _LineScanner, n: int):
     return is_anti, idx
 
 
-def _parse_term(sc: _LineScanner, n: int) -> Form:
+def _parse_term(sc: _LineScanner, n: int):
+    """The term as one (monomial, coefficient) pair; a repeated factor
+    gives a zero coefficient, which :class:`Form` drops."""
     sc.skip_ws()
     term_col = sc.pos
     sc.expect("(", "a parenthesized scalar")
@@ -138,11 +140,9 @@ def _parse_term(sc: _LineScanner, n: int) -> Form:
             sc.lineno,
             term_col + 1,
         )
-
-    def factor_form(is_anti, idx):
-        return alphabar(idx) if is_anti else alpha(idx)
-
-    return coeff * (factor_form(*first) ^ factor_form(*second))
+    x, y = (BasisForm((), (j,)) if anti else BasisForm((j,), ()) for anti, j in (first, second))
+    sign, bf = wedge_basis(x, y)
+    return bf, sign * coeff
 
 
 def parse_structure_file(text: str) -> AlgebraSpec:
@@ -186,11 +186,11 @@ def parse_structure_file(text: str) -> AlgebraSpec:
             )
         d_lines[idx] = lineno
         sc.expect("=")
-        total = _parse_term(sc, n)
+        terms = [_parse_term(sc, n)]
         while not sc.at_end():
             sc.expect("+", "'+' between terms")
-            total = total + _parse_term(sc, n)
-        d_forms[idx] = total
+            terms.append(_parse_term(sc, n))
+        d_forms[idx] = Form(terms)
     if header is None:
         raise StructureSyntaxError("missing 'algebra <name> dim <n>' header", 1, 1)
     d_generators = [d_forms.get(i, Form()) for i in range(1, n + 1)]

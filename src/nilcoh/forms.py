@@ -194,10 +194,6 @@ class Form:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
     def scalar(cls, c):
         return cls({UNIT: c})
 
@@ -230,12 +226,6 @@ class Form:
         """The (p, q) bidegree if homogeneous, else None.  Zero has no
         bidegree (returns None)."""
         degrees = {bf.bidegree() for bf in self._terms}
-        if len(degrees) == 1:
-            return degrees.pop()
-        return None
-
-    def degree(self):
-        degrees = {bf.degree for bf in self._terms}
         if len(degrees) == 1:
             return degrees.pop()
         return None

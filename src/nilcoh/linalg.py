@@ -37,11 +37,12 @@ so ``rank`` and ``kernel_basis`` store the rank in the matrix and it is
 computed once.
 
 ``subquotient_dim`` is the one routine that checks containment and does
-the dimension arithmetic of a cohomology group: the kernel of operators
-stacked with ``vstack`` modulo the span of operators joined with
-``hstack``.  Both stacks leave out operands with no rows (or no columns)
-and return a lone remaining operand itself, so a joint operator with an
-empty half keeps the other half's stored rank.
+the dimension arithmetic of a cohomology group: the kernel of one matrix
+modulo the span of another's columns, typically operators stacked with
+``vstack`` and operators joined with ``hstack``.  Both stacks leave out
+operands with no rows (or no columns) and return a lone remaining operand
+itself, so a joint operator with an empty half keeps the other half's
+stored rank.
 """
 
 from __future__ import annotations
@@ -553,15 +554,21 @@ def span_basis(vectors):
     return [_dense_quotient(row, last, nc) for row in rows[: len(pivots)]]
 
 
-def greedy_complement(base_columns, candidates):
-    """Indices of candidate vectors that enlarge span(base_columns),
-    scanned in order — the classes of the chosen candidates form a basis
-    of span(base + candidates) / span(base)."""
-    base_columns = list(base_columns)
-    nb = len(base_columns)
-    columns = base_columns + list(candidates)
-    rows = _integer_rows(map(_nonzero_pairs, zip(*columns)))[0]
-    pivots = _echelon(rows, len(columns), False)[0]
+def greedy_complement(base: IndexedMatrix, candidates):
+    """Indices of candidate vectors (over base's row labels) that enlarge
+    the span of base's columns, scanned in order — the classes of the
+    chosen candidates form a basis of span(base + candidates) / span(base).
+    The candidates, scaled to Gaussian integers, are appended to base's
+    integer rows: scaling a block of columns moves no pivot column."""
+    candidates = list(candidates)
+    if any(len(v) != base.nrows for v in candidates):
+        raise ValueError("greedy_complement: candidate length does not match")
+    nb = base.ncols
+    extra = _integer_rows(
+        [(nb + k, v[i]) for k, v in enumerate(candidates)] for i in range(base.nrows)
+    )[0]
+    rows = [a + b for a, b in zip(base.int_rows(), extra)]
+    pivots = _echelon(rows, nb + len(candidates), False)[0]
     return [c - nb for c in pivots if c >= nb]
 
 
@@ -581,14 +588,12 @@ def check_containment(kernel_of: IndexedMatrix, image: IndexedMatrix):
         )
 
 
-def subquotient_dim(kernel_of: IndexedMatrix, images) -> int:
-    """dim ker(kernel_of) minus the dimension of the joint span of the
-    image operators' columns, with the containment im(...) in ker(...)
-    checked (raising :class:`ContainmentError` on violation)."""
-    images = [img for img in images if img.ncols]
-    for img in images:
-        check_containment(kernel_of, img)
-    out = kernel_of.ncols - rank(kernel_of) - (rank(hstack(*images)) if images else 0)
+def subquotient_dim(kernel_of: IndexedMatrix, image: IndexedMatrix) -> int:
+    """dim ker(kernel_of) minus the rank of ``image``, with the containment
+    of image's columns in ker(kernel_of) checked (raising
+    :class:`ContainmentError` on violation)."""
+    check_containment(kernel_of, image)
+    out = kernel_of.ncols - rank(kernel_of) - rank(image)
     if out < 0:
         raise ArithmeticError("containment held but dimension went negative")
     return out

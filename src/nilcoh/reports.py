@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 
 from .algebra import AlgebraSpec, ValidationReport
+from .cohomology import THEORY_TABLE
 from .forms import Form
 from .metrics import CheckResult
 from .obstructions import ObstructionReport
@@ -53,12 +54,11 @@ def validation_json(report: ValidationReport) -> dict:
 
 
 def hodge_json(tables, betti=None) -> dict:
-    """``tables``: iterable of HodgeTable; keys shorten bott_chern -> bc."""
-    short = {"bott_chern": "bc", "aeppli": "aeppli", "dolbeault": "dolbeault",
-             "conj_dolbeault": "conj_dolbeault"}
+    """``tables``: iterable of HodgeTable, each under its theory's JSON key
+    in ``THEORY_TABLE`` (bott_chern -> bc)."""
     out = {}
     for table in tables:
-        out[short[table.theory]] = [list(row) for row in table.entries]
+        out[THEORY_TABLE[table.theory][0]] = [list(row) for row in table.entries]
     if betti is not None:
         out["derham"] = list(betti)
     return out

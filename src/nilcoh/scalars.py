@@ -139,11 +139,6 @@ class GaussianRational:
         return "GaussianRational(%r, %r)" % (str(self.re), str(self.im))
 
 
-ZERO = GaussianRational(0)
-ONE = GaussianRational(1)
-I = GaussianRational(0, 1)
-
-
 def parse_scalar(text: str) -> GaussianRational:
     """Parse a scalar literal: ``<rat>``, ``<rat>i``, ``<rat>+<rat>i``,
     ``<rat>-<rat>i`` (plus bare ``i`` / ``-i``), where ``<rat>`` is an

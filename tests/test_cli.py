@@ -254,6 +254,19 @@ def test_obstruct_usage_error_on_a_jacobi_failure_exits_two(nonjacobi, capsys, o
     assert code == 2 and out == "" and err.startswith(message)
 
 
+@pytest.mark.parametrize("command", [["obstruct"], ["table"], ["obstruct", "--diag", "1,1,1"]])
+def test_jacobi_check_runs_once_per_job(files, capsys, monkeypatch, command):
+    # the check differentiates each of the n generator differentials once
+    import nilcoh.algebra
+
+    checked = []
+    d = nilcoh.algebra.d
+    monkeypatch.setattr(nilcoh.algebra, "d", lambda spec, x: checked.append(x) or d(spec, x))
+    code, _, _ = run(capsys, command[:1] + [files["iwasawa"]] + command[1:])
+    assert code in (0, 1)
+    assert checked == list(iwasawa_spec().d_generators)
+
+
 def test_obstruct_without_metric(files, capsys):
     code, out, _ = run(capsys, ["obstruct", files["torus2"]])
     assert code == 0

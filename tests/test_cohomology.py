@@ -17,6 +17,7 @@ from nilcoh.catalog import (
 )
 from nilcoh.cohomology import (
     THEORIES,
+    _theory_operators,
     class_representatives,
     d_matrix,
     derham_betti,
@@ -336,6 +337,45 @@ def test_repeated_bott_chern_numbers_rank_nothing_again(monkeypatch):
     )
     assert [hodge_number(spec, "bott_chern", p, q) for p, q in grid] == first
     assert calls == []
+
+
+def test_each_group_is_one_cached_pair(monkeypatch):
+    import nilcoh.cohomology
+    import nilcoh.linalg
+
+    calls = {}
+
+    def spy(module, name):
+        fn = getattr(module, name)
+        calls[name] = []
+        monkeypatch.setattr(module, name, lambda *args: calls[name].append(args) or fn(*args))
+
+    for name in ("subquotient_dim", "kernel_basis", "greedy_complement", "rank"):
+        spy(nilcoh.cohomology, name)
+    spy(nilcoh.linalg, "_certified_rank")
+    spec = catalog_get("exnilp_ones(3)").spec
+    p, q = 1, 1
+    for theory in THEORIES:
+        hodge_number(spec, theory, p, q)
+        class_representatives(spec, theory, p, q)
+        kernel_of, image = _theory_operators(spec, theory, p, q)
+        kernel_arg, image_arg = calls["subquotient_dim"][-1]
+        assert kernel_arg is kernel_of and image_arg is image
+        assert calls["kernel_basis"][-1][0] is kernel_of
+        assert calls["greedy_complement"][-1][0] is image
+    natural_map_rank(spec, p, q)
+    closed, exact = _theory_operators(spec, "bott_chern", p, q)
+    join = _theory_operators(spec, "aeppli", p, q)[1]
+    assert join.ncols == len(component_basis(3, 0, 1)) + len(component_basis(3, 1, 0))
+    assert any(join.int_rows())
+    kernel_arg, image_arg = calls["subquotient_dim"][-1]
+    assert kernel_arg is closed and image_arg is exact
+    ranked = [args[0] for args in calls["rank"]]
+    assert len(ranked) == 3 and ranked[0] is join and ranked[2] is exact
+    # hodge_number ranked the join; natural_map_rank reused its stored rank
+    assert [rows for rows, _ in calls["_certified_rank"] if rows == join.int_rows()] == [
+        join.int_rows()
+    ]
 
 
 def test_natural_map_rank_equals_joint_operator_reference():

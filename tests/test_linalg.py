@@ -216,8 +216,9 @@ def test_subquotient_dim_on_known_chain():
     # kernel of the zero map modulo the image of a rank-1 map
     z = mat([[gr(0), gr(0)]], row_labels=["t"], col_labels=["e1", "e2"])
     img = mat([[gr(1)], [gr(0)]], row_labels=["e1", "e2"], col_labels=["s"])
-    assert subquotient_dim(z, [img]) == 1
-    assert subquotient_dim(z, []) == 2
+    assert subquotient_dim(z, img) == 1
+    none = IndexedMatrix(("e1", "e2"), (), [[], []])
+    assert subquotient_dim(z, none) == 2
 
 
 def test_subquotient_rejects_non_contained_image():
@@ -226,7 +227,7 @@ def test_subquotient_rejects_non_contained_image():
     z = mat([[gr(1), gr(0)]], row_labels=["t"], col_labels=["e1", "e2"])
     img = mat([[gr(1)], [gr(0)]], row_labels=["e1", "e2"], col_labels=["s"])
     with pytest.raises(ContainmentError):
-        subquotient_dim(z, [img])
+        subquotient_dim(z, img)
 
 
 def _dense_product(a, b):
@@ -367,7 +368,7 @@ def test_containment_error_pins_first_escaping_column():
     )
     fine = mat([[gr(0)], [gr(7)], [gr(0)]], row_labels=["e0", "e1", "e2"], col_labels=["u"])
     with pytest.raises(ContainmentError) as info:
-        subquotient_dim(k, [fine, img])
+        subquotient_dim(k, hstack(fine, img))
     assert info.value.witness == (gr(0), gr(Fraction(1, 2)), gr(2, -1))
     assert info.value.value == (gr(0), gr(1, 2))
 
@@ -394,7 +395,7 @@ def test_subquotient_dim_raises_when_dimension_goes_negative(monkeypatch):
     z = mat([[gr(0), gr(0)]], row_labels=["t"], col_labels=["e1", "e2"])
     img = mat([[gr(1)], [gr(0)]], row_labels=["e1", "e2"], col_labels=["s"])
     with pytest.raises(ArithmeticError):
-        subquotient_dim(z, [img])
+        subquotient_dim(z, img)
 
 
 # ---------------------------------------------------------------------------
@@ -481,10 +482,16 @@ def test_sparse_rank_kernel_span_and_complement_equal_sympy():
             tuple(from_sympy(reduced[k, j]) for j in range(m.ncols))
             for k in range(len(pivots))
         ]
-        columns = [m.column(j) for j in range(m.ncols)]
         for nb in {0, rng.randint(0, m.ncols), m.ncols}:
             expected = [p - nb for p in pivots if p >= nb]
-            assert greedy_complement(columns[:nb], columns[nb:]) == expected
+            assert greedy_complement(*split_columns(m, nb)) == expected
+
+
+def split_columns(m, nb):
+    """``(base, candidates)``: the first nb columns of m as a matrix over
+    m's row labels, and the remaining columns as vectors."""
+    base = IndexedMatrix(m.rows, m.cols[:nb], [row[:nb] for row in m.entries])
+    return base, [m.column(j) for j in range(nb, m.ncols)]
 
 
 def test_kernel_basis_vectors_equal_sympy_nullspace():
@@ -506,10 +513,12 @@ def test_greedy_complement_equals_sympy_rref_pivots():
     rng = random.Random(71)
     for m in oracle_matrices():
         _, pivots = sympy_rref(m)
-        columns = [m.column(j) for j in range(m.ncols)]
         for nb in {0, rng.randint(0, m.ncols), m.ncols}:
             expected = [p - nb for p in pivots if p >= nb]
-            assert greedy_complement(columns[:nb], columns[nb:]) == expected
+            assert greedy_complement(*split_columns(m, nb)) == expected
+    base, candidates = split_columns(m, 1)  # candidates one entry short
+    with pytest.raises(ValueError):
+        greedy_complement(base, [c[:-1] for c in candidates])
 
 
 def test_leading_minors_equal_sympy_determinants():
