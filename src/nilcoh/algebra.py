@@ -39,6 +39,21 @@ from .linalg import IndexedMatrix, _integer_rows, kernel_basis, span_basis
 
 _ALLOWED_BIDEGREES = {(2, 0), (1, 1)}
 
+# The largest complex dimension a spec may have.  Even ``validate`` grows
+# steeply with n, and callers allocate per generator (forms, coefficient
+# grids) before a spec exists, so outside input is checked against this
+# before anything of size n is built.
+MAX_DIM = 64
+
+
+def check_dimension(n: int) -> int:
+    """``n`` itself, or ValueError unless 1 <= n <= :data:`MAX_DIM`."""
+    if n < 1:
+        raise ValueError("dimension n must be a positive integer")
+    if n > MAX_DIM:
+        raise ValueError("dimension n = %d exceeds the limit %d" % (n, MAX_DIM))
+    return n
+
 
 class AlgebraSpec:
     """Dimension n plus the generator differentials d a_1 .. d a_n."""
@@ -46,8 +61,7 @@ class AlgebraSpec:
     __slots__ = ("name", "n", "d_generators", "_caches")
 
     def __init__(self, name: str, n: int, d_generators):
-        if n < 1:
-            raise ValueError("dimension n must be a positive integer")
+        check_dimension(n)
         d_generators = tuple(
             f if isinstance(f, Form) else Form(f) for f in d_generators
         )

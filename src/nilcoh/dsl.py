@@ -13,7 +13,9 @@ Each term has exactly two factors.  Terms may mix factor order freely and
 are sign-normalized into canonical monomials, but a term with two
 anti-holomorphic factors (bidegree (0,2)) is rejected: such a differential
 is incompatible with an integrable complex structure.  Omitted d-lines mean
-``d a_i = 0``.  Generators are 1-based and must stay within ``dim``.
+``d a_i = 0``.  Generators are 1-based and must stay within ``dim``, which
+runs from 1 to ``algebra.MAX_DIM`` (64); a header outside that range is
+refused at the column of its dimension.
 
 Example (complex Heisenberg structure)::
 
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import re as _re
 
-from .algebra import AlgebraSpec
+from .algebra import AlgebraSpec, check_dimension
 from .forms import BasisForm, Form, wedge_basis
 from .scalars import parse_scalar
 
@@ -161,9 +163,11 @@ def parse_structure_file(text: str) -> AlgebraSpec:
             sc.keyword("algebra")
             name = sc.match_re(_IDENT_RE, "algebra name").group(0)
             sc.keyword("dim")
-            n = int(sc.match_re(_INT_RE, "dimension").group(0))
-            if n < 1:
-                sc.error("dimension must be a positive integer")
+            digits = sc.match_re(_INT_RE, "dimension")
+            try:
+                n = check_dimension(int(digits.group(0)))
+            except ValueError as exc:
+                sc.error(str(exc), digits.start())
             if not sc.at_end():
                 sc.error("unexpected text after header")
             header = (name, n)

@@ -36,6 +36,17 @@ forward pass decides.  Every answer is exact.  A matrix never changes,
 so ``rank`` and ``kernel_basis`` store the rank in the matrix and it is
 computed once.
 
+The rank mod p has two layouts, chosen by density.  Dict rows of the
+nonzeros cost a step only the nonzeros it touches, which suits the
+operator matrices (at most about a tenth nonzero).  A matrix with at
+least a quarter of its cells nonzero is instead packed: each row becomes
+one Python int with a fixed-width slot per column (Kronecker
+substitution), and eliminating a column from a row is one big-integer
+multiply-add and one shift, with the reduction mod p of each slot
+delayed until the row becomes a pivot (as in FFLAS-FFPACK).  That costs
+every cell, zero or not, so it pays only where most cells are nonzero
+anyway; both layouts give the same rank.
+
 ``subquotient_dim`` is the one routine that checks containment and does
 the dimension arithmetic of a cohomology group: the kernel of one matrix
 modulo the span of another's columns, typically operators stacked with
@@ -419,9 +430,22 @@ _P = 1073741789
 _S = 140687844
 
 
-def _rank_mod_p(rows) -> int:
+def _rank_mod_p(rows, ncols) -> int:
     """Rank mod ``_P`` of Gaussian-integer rows given by their nonzero
     (column, re, im) triples: a lower bound on the rank over Q(i).
+
+    A matrix with at least a quarter of its cells nonzero is eliminated
+    on packed integer rows (:func:`_packed_rank_mod_p`), any other on
+    dict rows (:func:`_dict_rank_mod_p`); both compute the same number.
+    """
+    nnz = sum(map(len, rows))
+    if nnz and 4 * nnz >= len(rows) * ncols:
+        return _packed_rank_mod_p(rows, ncols)
+    return _dict_rank_mod_p(rows)
+
+
+def _dict_rank_mod_p(rows) -> int:
+    """Rank mod ``_P`` on dict rows, which cost their nonzeros.
 
     Rows are reduced one at a time, sparsest first (which limits fill-in),
     against the pivot rows so far.  A pivot row is keyed by its smallest
@@ -451,6 +475,62 @@ def _rank_mod_p(rows) -> int:
                 else:  # f * x != 0 mod p, so j was in the row
                     del row[j]
     return len(pivots)
+
+
+def _packed_rank_mod_p(rows, ncols) -> int:
+    """Rank mod ``_P`` on packed rows, which cost every cell but take one
+    big-integer operation per row and column.
+
+    Each row is one int holding one ``width``-byte slot per column, the
+    lowest slot for the first column left, each slot a nonnegative integer
+    congruent mod p to the entry.  Per column, a row whose slot is nonzero
+    mod p becomes the pivot row: its slots are reduced mod p and scaled so
+    that its first is p - 1, i.e. -1.  Every other row r, with first slot
+    f mod p, becomes (r + f * pivot) >> (8 * width), which clears the
+    column mod p and drops it.  Reduction is delayed: slots only grow, so
+    no borrow crosses them, and a slot gains at most (p - 1)**2 per pivot,
+    with at most m = min(nrows, ncols) pivots, so it stays below
+    p + m (p - 1)**2 < 2**(2 bitlen(p) + bitlen(m)), inside its width.
+    """
+    slot_bits = 2 * _P.bit_length() + min(len(rows), ncols).bit_length() + 1
+    width = -(-slot_bits // 8)
+    bits = 8 * width
+    mask = (1 << bits) - 1
+    packed = []
+    for integral in rows:
+        buf = bytearray(width * ncols)
+        for j, a, b in integral:
+            buf[j * width : (j + 1) * width] = ((a + b * _S) % _P).to_bytes(width, "little")
+        r = int.from_bytes(buf, "little")
+        if r:
+            packed.append(r)
+    rank = 0
+    for c in range(ncols):
+        if not packed:
+            break
+        leads = [(r & mask) % _P for r in packed]
+        k = next((k for k, f in enumerate(leads) if f), None)
+        if k is not None:
+            rank += 1
+            pivot = _scaled_pivot(packed.pop(k), leads.pop(k), width, ncols - c)
+        # with no pivot every f is 0 and the column is only dropped
+        packed = [(r + f * pivot if f else r) >> bits for r, f in zip(packed, leads)]
+        packed = [r for r in packed if r]
+    return rank
+
+
+def _scaled_pivot(r, lead, width, nslots):
+    """Packed row ``r`` of ``nslots`` slots reduced mod p and scaled so
+    that its first slot, ``lead`` mod p, becomes p - 1."""
+    g = -pow(lead, -1, _P) % _P
+    raw = r.to_bytes(width * nslots, "little")
+    return int.from_bytes(
+        b"".join(
+            (int.from_bytes(raw[k : k + width], "little") * g % _P).to_bytes(width, "little")
+            for k in range(0, len(raw), width)
+        ),
+        "little",
+    )
 
 
 def _structural_rank(rows) -> int:
@@ -504,7 +584,7 @@ def _certified_rank(rows, ncols) -> int:
     """Exact rank of Gaussian-integer rows given by their nonzero
     (column, re, im) triples: the mod-p lower bound when it meets the
     structural upper bound, the exact forward pass otherwise."""
-    low = _rank_mod_p(rows)
+    low = _rank_mod_p(rows, ncols)
     high = _structural_rank(rows)
     if low > high:
         raise ArithmeticError("mod-p rank %d exceeds structural rank %d" % (low, high))

@@ -5,7 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from nilcoh.algebra import AlgebraSpec, d, del_, delbar, deldelbar, direct_sum, validate
+from nilcoh.algebra import (
+    MAX_DIM,
+    AlgebraSpec,
+    d,
+    del_,
+    delbar,
+    deldelbar,
+    direct_sum,
+    validate,
+)
 from nilcoh.catalog import (
     exnilp_spec,
     fps_spec,
@@ -57,6 +66,11 @@ def test_spec_validation_constraints():
         AlgebraSpec("bad", 2, [Form(), alpha(1) ^ alpha(3)])  # index out of range
     with pytest.raises(ValueError):
         AlgebraSpec("bad", 2, [Form()])  # wrong generator count
+    # the dimension is checked before the generator differentials are read
+    with pytest.raises(ValueError, match="exceeds the limit %d" % MAX_DIM):
+        AlgebraSpec("big", MAX_DIM + 1, None)
+    with pytest.raises(ValueError, match="positive"):
+        AlgebraSpec("empty", 0, None)
 
 
 def test_differential_on_generators():

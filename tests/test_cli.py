@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from nilcoh.algebra import MAX_DIM
 from nilcoh.catalog import iwasawa_spec, kodaira_spec, nakamura_ce_spec, torus_spec
 from nilcoh.cli import main
 from nilcoh.dsl import format_structure_file, parse_structure_file
@@ -341,6 +342,31 @@ def test_catalog_malformed_parametrized_key_exits_two(capsys, action):
     code, out, err = run(capsys, ["catalog", action, "exnilp(4,A={(1,2):1},B=0)"])
     assert code == 2 and out == ""
     assert err == "matrix literal must look like [[...],[...]] or 0\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["catalog", "show", "torus(%d)" % (MAX_DIM + 1)],
+        ["catalog", "show", "exnilp_ones(%d)" % (MAX_DIM + 1)],
+        ["catalog", "suite", "exnilp(%d,A=0,B=0)" % (MAX_DIM + 1)],
+    ],
+)
+def test_catalog_dimension_beyond_the_limit_exits_two(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.endswith(": dimension n = %d exceeds the limit %d\n" % (MAX_DIM + 1, MAX_DIM))
+
+
+def test_validate_dimension_beyond_the_limit_exits_two(tmp_path, capsys):
+    path = tmp_path / "big.alg"
+    path.write_text("algebra x dim %d\n" % (MAX_DIM + 1), encoding="ascii")
+    code, out, err = run(capsys, ["validate", str(path)])
+    assert code == 2 and out == ""
+    assert err == "parse error: line 1, col 15: dimension n = %d exceeds the limit %d\n" % (
+        MAX_DIM + 1,
+        MAX_DIM,
+    )
 
 
 def test_catalog_suite_subset(capsys):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from nilcoh.algebra import MAX_DIM
 from nilcoh.catalog import exnilp_spec, fps_spec, iwasawa_spec, kodaira_spec, torus_spec
 from nilcoh.dsl import (
     StructureSyntaxError,
@@ -84,6 +85,17 @@ def test_error_carries_position():
         parse_structure_file("algebra t dim 2\nd a2 = (1)*~a1^~a2\n")
     assert err.value.line == 2
     assert err.value.col >= 1
+
+
+def test_dimension_beyond_the_limit_is_refused_at_its_column():
+    assert parse_structure_file("algebra x dim %d\n" % MAX_DIM).n == MAX_DIM
+    for text in ("algebra x dim %d\n" % (MAX_DIM + 1), "algebra x dim 200000  # comment\n"):
+        with pytest.raises(StructureSyntaxError, match="exceeds the limit %d" % MAX_DIM) as err:
+            parse_structure_file(text)
+        assert (err.value.line, err.value.col) == (1, 15)
+    with pytest.raises(StructureSyntaxError, match="positive") as err:
+        parse_structure_file("algebra x   dim 0\n")
+    assert err.value.col == 17
 
 
 def test_round_trip_fixed_specs():

@@ -1,5 +1,5 @@
-"""Every module of the package uses each name it imports, and imports
-only at module level."""
+"""Every module of the package uses each name it imports, imports only
+at module level, and uses no floating point."""
 
 import ast
 from pathlib import Path
@@ -37,6 +37,60 @@ def nested_imports(source: str) -> list:
             if isinstance(inner, (ast.Import, ast.ImportFrom))
         }
     )
+
+
+FLOAT_MATH = {"sqrt", "log", "log2", "exp"}
+
+
+def float_uses(source: str) -> list:
+    """Line numbers of float and complex literals, ``float`` (called or
+    read anywhere but as a type that ``isinstance`` refuses) and the
+    ``math`` functions sqrt, log, log2 and exp."""
+    tree = ast.parse(source)
+    refused = {
+        id(node)
+        for call in ast.walk(tree)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Name)
+        and call.func.id == "isinstance"
+        and len(call.args) == 2
+        for node in ast.walk(call.args[1])
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)))
+        or (isinstance(node, ast.Name) and node.id == "float" and id(node) not in refused)
+        or (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "math"
+            and node.attr in FLOAT_MATH
+        )
+        or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "math"
+            and any(alias.name in FLOAT_MATH for alias in node.names)
+        )
+    )
+
+
+def test_float_uses_are_found():
+    source = (
+        "import math\nfrom math import gcd, log2\n"
+        "x = 0.5\ny = float(3)\nz = math.sqrt(2) + math.isqrt(2)\n"
+        "ok = isinstance(x, (bool, float))\nw = 2j\nt = (float,)\n"
+    )
+    assert float_uses(source) == [2, 3, 4, 5, 7, 8]
+
+
+def test_no_module_uses_floating_point():
+    found = {
+        p.name: lines
+        for p in sorted(PACKAGE.glob("*.py"))
+        if (lines := float_uses(p.read_text(encoding="utf-8")))
+    }
+    assert found == {}
 
 
 def test_unused_imports_are_found():

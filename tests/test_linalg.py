@@ -8,8 +8,12 @@ import pytest
 import sympy
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 import nilcoh.linalg
+from nilcoh.algebra import differential_matrix
+from nilcoh.catalog import exnilp_spec, ones_matrix
+from nilcoh.forms import degree_basis
 from nilcoh.linalg import (
     ContainmentError,
     IndexedMatrix,
@@ -566,7 +570,7 @@ def test_prime_and_square_root_of_minus_one():
 
 def bounds(m):
     rows = m.int_rows()
-    return nilcoh.linalg._rank_mod_p(rows), nilcoh.linalg._structural_rank(rows)
+    return nilcoh.linalg._rank_mod_p(rows, m.ncols), nilcoh.linalg._structural_rank(rows)
 
 
 RANK_CASES = {
@@ -603,6 +607,20 @@ RANK_CASES = {
         "certified",
     ),
     "all zero": (mat([[gr(0)] * 3] * 2), "certified"),
+    # more matrices at least a quarter nonzero, which take the packed mod-p kernel
+    "dense p": (mat([[gr(P), gr(P)], [gr(P), gr(P)]]), "fallback"),
+    "dense i - s": (mat([[gr(-S, 1), gr(1)], [gr(0), gr(-S, 1)]]), "fallback"),
+    "dense dependent rows near p - 1": (
+        mat(
+            [
+                [gr(P - 1), gr(P - 2, 1), gr(3)],
+                [gr(2 * P - 2), gr(2 * P - 4, 2), gr(6)],
+                [gr(1), gr(P - 1), gr(0, P - 1)],
+            ]
+        ),
+        "fallback",
+    ),
+    "quarter dense": (mat([[gr(0), gr(0)], [gr(0), gr(P - 1)]]), "certified"),
     "no rows": (IndexedMatrix((), ("c0", "c1"), []), "certified"),
     "no columns": (IndexedMatrix(("r0", "r1"), (), [[], []]), "certified"),
     "empty": (IndexedMatrix((), (), []), "certified"),
@@ -622,6 +640,88 @@ def test_rank_path_and_value_equal_sympy(monkeypatch, case):
     exact = [rows for kind, rows in calls if kind == "exact"]
     assert len(exact) == (0 if path == "certified" else 1)
     assert [kind for kind, _ in calls].count("mod p") == 1
+
+
+def mod_p_rows(rng, nr, nc, density):
+    """Gaussian-integer rows with entries p, i - s, residues near p - 1 and
+    small values at the given density, and sometimes rows that are
+    multiples (by residues near p - 1) of rows drawn before them."""
+    near = [P - 1, P - 2, 2 * P - 1, P * P - 1]
+    rows = []
+    for _ in range(nr):
+        if rows and rng.random() < 0.3:
+            base, f = rng.choice(rows), rng.choice(near)
+            rows.append(tuple((j, a * f, b * f) for j, a, b in base))
+            continue
+        row = []
+        for j in range(nc):
+            if rng.random() < density:
+                a, b = rng.choice(
+                    [(P, 0), (-S, 1), (rng.choice(near), 0), (0, rng.choice(near))]
+                    + [(rng.randint(-3, 3), rng.randint(-3, 3))] * 2
+                )
+                if a or b:
+                    row.append((j, a, b))
+        rows.append(tuple(row))
+    return rows
+
+
+def gf_p_rank(rows, nc):
+    field = sympy.GF(P)
+    dense = [[field(0)] * nc for _ in rows]
+    for dense_row, row in zip(dense, rows):
+        for j, a, b in row:
+            dense_row[j] = field((a + b * S) % P)
+    return DomainMatrix(dense, (len(rows), nc), field).rank()
+
+
+def test_mod_p_kernels_equal_sympy_rank_over_gf_p():
+    rng = random.Random(89)
+    packed_calls = 0
+    for _ in range(600):
+        nr, nc = rng.randint(0, 12), rng.randint(0, 12)
+        rows = mod_p_rows(rng, nr, nc, rng.random())
+        expected = gf_p_rank(rows, nc)
+        assert nilcoh.linalg._dict_rank_mod_p(rows) == expected
+        assert nilcoh.linalg._packed_rank_mod_p(rows, nc) == expected
+        assert nilcoh.linalg._rank_mod_p(rows, nc) == expected
+        nnz = sum(map(len, rows))
+        packed_calls += bool(nnz and 4 * nnz >= nr * nc)
+    assert 200 < packed_calls < 550
+
+
+def test_packed_kernel_slots_hold_every_delayed_sum():
+    # 110 pivots add up to 110 (p - 1)**2 to a slot: the dependent rows
+    # reach zero mod p only if no slot overflowed into its neighbour
+    rng = random.Random(97)
+    n, r = 120, 110
+    left = [[rng.randrange(P // 2, P) for _ in range(r)] for _ in range(n)]
+    right = [[rng.randrange(P // 2, P) for _ in range(n)] for _ in range(r)]
+    rows = [
+        tuple((j, sum(x * y for x, y in zip(row, col)) % P, 0) for j, col in enumerate(zip(*right)))
+        for row in left
+    ]
+    assert nilcoh.linalg._packed_rank_mod_p(rows, n) == nilcoh.linalg._dict_rank_mod_p(rows) == r
+
+
+def test_rank_takes_the_packed_kernel_only_on_dense_matrices(monkeypatch):
+    kernels = []
+    for name in ("_packed_rank_mod_p", "_dict_rank_mod_p"):
+        fn = getattr(nilcoh.linalg, name)
+        monkeypatch.setattr(
+            nilcoh.linalg,
+            name,
+            lambda rows, *args, fn=fn, name=name: kernels.append(name) or fn(rows, *args),
+        )
+    dense = rand_matrix(random.Random(19), 5, 7, density=1.0)
+    assert rank(dense) == sympy_rank(dense)
+    assert kernels == ["_packed_rank_mod_p"]
+    spec = exnilp_spec(3, 0, ones_matrix(2))
+    sparse = differential_matrix(spec, degree_basis(3, 2), degree_basis(3, 3))
+    nnz = sum(map(len, sparse.int_rows()))
+    assert 0 < 4 * nnz < sparse.nrows * sparse.ncols
+    assert rank(sparse) == sympy_rank(sparse)
+    assert kernels == ["_packed_rank_mod_p", "_dict_rank_mod_p"]
 
 
 def reference_matching(adj):
