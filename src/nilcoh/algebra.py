@@ -30,7 +30,6 @@ stabilizes at the full 2n-dimensional space exactly in the nilpotent case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations
 
@@ -110,14 +109,17 @@ class AlgebraSpec:
         return "AlgebraSpec(%r, n=%d)" % (self.name, self.n)
 
 
-@dataclass
 class ValidationReport:
     """Outcome of the Jacobi check plus the nilpotency flag data."""
 
-    jacobi_ok: bool
-    failing_generators: list = field(default_factory=list)  # (index, d2 Form)
-    nilpotent_J: bool = False
-    filtration: list = field(default_factory=list)
+    __slots__ = ("jacobi_ok", "failing_generators", "nilpotent_J", "filtration")
+
+    def __init__(self, jacobi_ok, failing_generators=None, nilpotent_J=False, filtration=None):
+        self.jacobi_ok = jacobi_ok
+        # (index, d2 Form) pairs
+        self.failing_generators = [] if failing_generators is None else failing_generators
+        self.nilpotent_J = nilpotent_J
+        self.filtration = [] if filtration is None else filtration
 
     @property
     def validity(self) -> str:

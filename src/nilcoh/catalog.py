@@ -34,12 +34,11 @@ recomputed from the family arguments an entry keeps in ``params``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb
 
-from .algebra import AlgebraSpec, check_dimension, direct_sum, validate
+from .algebra import MAX_DIM, AlgebraSpec, check_dimension, direct_sum, validate
 from .cohomology import derham_betti, hodge_number, hodge_table, natural_map_rank
 from .forms import BasisForm, Form, alpha, alphabar
 from .metrics import (
@@ -65,22 +64,26 @@ class CatalogKeyError(KeyError):
     """Unknown catalog key; the message lists what is available."""
 
 
-@dataclass
 class Fixture:
     """One recorded value; ``name`` selects its computation in ``_COMPUTE``."""
 
-    name: str
-    provenance: str  # literature | trivial | derived
-    expected: object
+    __slots__ = ("name", "provenance", "expected")
+
+    def __init__(self, name: str, provenance: str, expected):
+        self.name = name
+        self.provenance = provenance  # literature | trivial | derived
+        self.expected = expected
 
 
-@dataclass
 class CatalogEntry:
-    key: str
-    spec: AlgebraSpec
-    fixtures: list
-    notes: str = ""
-    params: tuple = ()  # family arguments read by fps_lhs, exnilp_lhs, kunneth_*
+    __slots__ = ("key", "spec", "fixtures", "notes", "params")
+
+    def __init__(self, key: str, spec: AlgebraSpec, fixtures: list, notes: str = "", params=()):
+        self.key = key
+        self.spec = spec
+        self.fixtures = fixtures
+        self.notes = notes
+        self.params = params  # family arguments read by fps_lhs, exnilp_lhs, kunneth_*
 
     @property
     def metric(self) -> MetricForm:
@@ -534,6 +537,12 @@ def catalog_get(key: str) -> CatalogEntry:
         if head == "product":
             if len(args) != 2:
                 raise CatalogKeyError("product wants two catalog keys")
+            # k products join k + 1 factors of n >= 1 each; refuse before recursing
+            factors = key.count("product(") + 1
+            if factors > MAX_DIM:
+                raise CatalogKeyError(
+                    "a product of %d factors exceeds the dimension limit %d" % (factors, MAX_DIM)
+                )
             return _product(args[0], args[1])
     except CatalogKeyError:
         raise

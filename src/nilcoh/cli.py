@@ -45,7 +45,10 @@ def _read_hmatrix(path: str):
     """The rows of H from a JSON file {"H": [[{"re": .., "im": ..}, ...], ...]};
     a malformed file raises ValueError naming the offending place."""
     with open(path, "r", encoding="ascii") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except RecursionError:
+            raise ValueError("%s: JSON nested too deeply" % path) from None
     rows = payload.get("H") if isinstance(payload, dict) else None
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError('%s: expected {"H": [[{"re": .., "im": ..}, ...], ...]}' % path)

@@ -28,8 +28,6 @@ invariants of the complex, but carry no manifold-level claim).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import AlgebraSpec, differential_matrix, validate
 from .forms import Form, component_basis, degree_basis
 from .linalg import (
@@ -53,14 +51,16 @@ THEORY_TABLE = {
 THEORIES = tuple(THEORY_TABLE)
 
 
-@dataclass
 class HodgeTable:
     """(n+1) x (n+1) grid of hodge numbers; entries[p][q] is h^{p,q}."""
 
-    theory: str
-    n: int
-    entries: list
-    validity: str  # "nilpotent_J" | "ce_only"
+    __slots__ = ("theory", "n", "entries", "validity")
+
+    def __init__(self, theory: str, n: int, entries: list, validity: str):
+        self.theory = theory
+        self.n = n
+        self.entries = entries
+        self.validity = validity  # "nilpotent_J" | "ce_only"
 
 
 def operator_matrix(spec: AlgebraSpec, op: str, p: int, q: int) -> IndexedMatrix:

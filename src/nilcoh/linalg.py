@@ -582,9 +582,13 @@ def _structural_rank(rows) -> int:
 
 def _certified_rank(rows, ncols) -> int:
     """Exact rank of Gaussian-integer rows given by their nonzero
-    (column, re, im) triples: the mod-p lower bound when it meets the
-    structural upper bound, the exact forward pass otherwise."""
+    (column, re, im) triples: the mod-p lower bound when it meets an upper
+    bound, the exact forward pass otherwise.  The upper bounds are tried
+    cheapest first: the number of nonzero rows, of nonzero columns, and the
+    structural rank."""
     low = _rank_mod_p(rows, ncols)
+    if low == sum(1 for row in rows if row) or low == len({e[0] for row in rows for e in row}):
+        return low
     high = _structural_rank(rows)
     if low > high:
         raise ArithmeticError("mod-p rank %d exceeds structural rank %d" % (low, high))

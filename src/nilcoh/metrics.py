@@ -45,7 +45,6 @@ metric (the direct computation is the oracle for both):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import factorial
@@ -217,11 +216,13 @@ def diagonal_metric(n: int, diag=None) -> MetricForm:
     )
 
 
-@dataclass
 class CheckResult:
-    condition: str
-    holds: bool
-    witness: Form  # the obstruction form; zero iff the condition holds
+    __slots__ = ("condition", "holds", "witness")
+
+    def __init__(self, condition: str, holds: bool, witness: Form):
+        self.condition = condition
+        self.holds = holds
+        self.witness = witness  # the obstruction form; zero iff the condition holds
 
 
 def check_condition(spec: AlgebraSpec, m: MetricForm, cond: str) -> CheckResult:

@@ -27,8 +27,6 @@ Reports carry a validity flag: conclusions are manifold-level only for
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .algebra import AlgebraSpec, d, del_, direct_sum, validate
 from .cohomology import class_representatives, hodge_number, operator_matrix
 from .forms import BasisForm, Form
@@ -36,53 +34,109 @@ from .linalg import kernel_basis
 from .metrics import MetricForm, check_condition
 
 
-@dataclass
 class JostYauResult:
-    passed: bool
-    witness: Form | None  # a holomorphic but non-closed 1-form, if any
+    __slots__ = ("passed", "witness")
+
+    def __init__(self, passed: bool, witness: Form | None):
+        self.passed = passed
+        self.witness = witness  # a holomorphic but non-closed 1-form, if any
 
 
-@dataclass
 class GapVerdict:
-    h01_bc: int
-    h01_a: int
-    gap: int
-    verdict: str  # compatible_gap0 | compatible_gap1 | excluded
+    __slots__ = ("h01_bc", "h01_a", "gap", "verdict")
+
+    def __init__(self, h01_bc: int, h01_a: int, gap: int, verdict: str):
+        self.h01_bc = h01_bc
+        self.h01_a = h01_a
+        self.gap = gap
+        self.verdict = verdict  # compatible_gap0 | compatible_gap1 | excluded
 
 
-@dataclass
 class LFunctional:
-    representatives: list  # Aeppli (0,1) representatives
-    values: list  # Gaussian rationals, one per representative
-    rank: int  # 0 or 1
+    __slots__ = ("representatives", "values", "rank")
+
+    def __init__(self, representatives: list, values: list, rank: int):
+        self.representatives = representatives  # Aeppli (0,1) representatives
+        self.values = values  # Gaussian rationals, one per representative
+        self.rank = rank  # 0 or 1
 
 
-@dataclass
 class KunnethResult:
-    bc_left: int
-    bc_right: int
-    bc_sum: int
-    bc_additive: bool
-    aeppli_left: int
-    aeppli_right: int
-    aeppli_sum: int
-    aeppli_superadditive: bool
+    __slots__ = (
+        "bc_left",
+        "bc_right",
+        "bc_sum",
+        "bc_additive",
+        "aeppli_left",
+        "aeppli_right",
+        "aeppli_sum",
+        "aeppli_superadditive",
+    )
+
+    def __init__(
+        self,
+        bc_left: int,
+        bc_right: int,
+        bc_sum: int,
+        bc_additive: bool,
+        aeppli_left: int,
+        aeppli_right: int,
+        aeppli_sum: int,
+        aeppli_superadditive: bool,
+    ):
+        self.bc_left = bc_left
+        self.bc_right = bc_right
+        self.bc_sum = bc_sum
+        self.bc_additive = bc_additive
+        self.aeppli_left = aeppli_left
+        self.aeppli_right = aeppli_right
+        self.aeppli_sum = aeppli_sum
+        self.aeppli_superadditive = aeppli_superadditive
 
 
-@dataclass
 class ObstructionReport:
-    h01_bc: int
-    h01_a: int
-    gap: int
-    gap_verdict: str
-    jost_yau: JostYauResult
-    torality: str
-    validity: str  # nilpotent_J | ce_only
-    astheno_excluded: bool
-    excluded_by: list = field(default_factory=list)
-    gauduchon: bool | None = None
-    l_rank: int | None = None
-    l_values: list | None = None
+    __slots__ = (
+        "h01_bc",
+        "h01_a",
+        "gap",
+        "gap_verdict",
+        "jost_yau",
+        "torality",
+        "validity",
+        "astheno_excluded",
+        "excluded_by",
+        "gauduchon",
+        "l_rank",
+        "l_values",
+    )
+
+    def __init__(
+        self,
+        h01_bc: int,
+        h01_a: int,
+        gap: int,
+        gap_verdict: str,
+        jost_yau: JostYauResult,
+        torality: str,
+        validity: str,
+        astheno_excluded: bool,
+        excluded_by: list | None = None,
+        gauduchon: bool | None = None,
+        l_rank: int | None = None,
+        l_values: list | None = None,
+    ):
+        self.h01_bc = h01_bc
+        self.h01_a = h01_a
+        self.gap = gap
+        self.gap_verdict = gap_verdict
+        self.jost_yau = jost_yau
+        self.torality = torality
+        self.validity = validity  # nilpotent_J | ce_only
+        self.astheno_excluded = astheno_excluded
+        self.excluded_by = [] if excluded_by is None else excluded_by
+        self.gauduchon = gauduchon
+        self.l_rank = l_rank
+        self.l_values = l_values
 
 
 def holomorphic_one_forms(spec: AlgebraSpec):
@@ -184,22 +238,24 @@ def obstruction_report(spec: AlgebraSpec, metric: MetricForm | None = None) -> O
         excluded_by.append("gap")
     if not jy.passed:
         excluded_by.append("jost_yau")
-    out = ObstructionReport(
+    torality = torality_check(spec)
+    gauduchon = l_rank = l_values = None
+    if metric is not None:
+        gauduchon = check_condition(spec, metric, "gauduchon").holds
+        if gauduchon:
+            lf = _l_functional(spec, metric)
+            l_rank, l_values = lf.rank, lf.values
+    return ObstructionReport(
         h01_bc=gv.h01_bc,
         h01_a=gv.h01_a,
         gap=gv.gap,
         gap_verdict=gv.verdict,
         jost_yau=jy,
-        torality=torality_check(spec),
+        torality=torality,
         validity=report.validity,
         astheno_excluded=bool(excluded_by),
         excluded_by=excluded_by,
+        gauduchon=gauduchon,
+        l_rank=l_rank,
+        l_values=l_values,
     )
-    if metric is not None:
-        gauduchon = check_condition(spec, metric, "gauduchon")
-        out.gauduchon = gauduchon.holds
-        if gauduchon.holds:
-            lf = _l_functional(spec, metric)
-            out.l_rank = lf.rank
-            out.l_values = lf.values
-    return out

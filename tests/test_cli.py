@@ -161,11 +161,12 @@ def test_zero_denominator_coefficient_exits_two(tmp_path, capsys):
         {"H": [[{"re": 0.5}]]},
         {"H": [[{"re": True}]]},
         {"H": [[{"re": "1", "im": 1.5}]]},
+        '{"H": %s%s}' % ("[" * 1000, "]" * 1000),  # JSON text nested beyond json.load
     ],
 )
 def test_malformed_hmatrix_exits_two(files, capsys, tmp_path, payload):
     hpath = tmp_path / "H.json"
-    hpath.write_text(json.dumps(payload), encoding="ascii")
+    hpath.write_text(payload if isinstance(payload, str) else json.dumps(payload), encoding="ascii")
     code, out, err = run(
         capsys, ["metric", files["torus1"], "--hmatrix", str(hpath), "--check", "skt"]
     )
@@ -356,6 +357,16 @@ def test_catalog_dimension_beyond_the_limit_exits_two(capsys, argv):
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
     assert err.endswith(": dimension n = %d exceeds the limit %d\n" % (MAX_DIM + 1, MAX_DIM))
+
+
+@pytest.mark.parametrize("depth", [MAX_DIM, 600])
+def test_catalog_product_nested_beyond_the_limit_exits_two(capsys, depth):
+    key = "torus(1)"
+    for _ in range(depth):
+        key = "product(%s,torus(1))" % key
+    code, out, err = run(capsys, ["catalog", "show", key])
+    assert code == 2 and out == ""
+    assert err == "a product of %d factors exceeds the dimension limit %d\n" % (depth + 1, MAX_DIM)
 
 
 def test_validate_dimension_beyond_the_limit_exits_two(tmp_path, capsys):

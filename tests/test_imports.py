@@ -1,7 +1,11 @@
 """Every module of the package uses each name it imports, imports only
-at module level, and uses no floating point."""
+at module level, and uses no floating point; importing the command line
+loads none of the heavy introspection modules."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import nilcoh
@@ -130,3 +134,14 @@ def test_no_module_imports_inside_a_function_or_class():
         if (lines := nested_imports(p.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+def test_cli_import_loads_no_introspection_modules():
+    heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize"]
+    code = "import sys, nilcoh.cli; print(sorted(set(%r) & set(sys.modules)))" % heavy
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    # -S: startup hooks of installed packages may load these modules themselves
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "[]\n"

@@ -601,6 +601,11 @@ RANK_CASES = {
         ),
         "certified",
     ),
+    # rank 2 below three nonzero rows and columns: only a matching certifies it
+    "structurally deficient": (
+        mat([[gr(1), gr(1), gr(1)], [gr(1), gr(0), gr(0)], [gr(2), gr(0), gr(0)]]),
+        "certified",
+    ),
     # all-zero rows and columns, empty matrices
     "zero rows and columns": (
         mat([[gr(0), gr(0), gr(0)], [gr(0), gr(3), gr(0)], [gr(0), gr(0), gr(0)]]),
@@ -640,6 +645,27 @@ def test_rank_path_and_value_equal_sympy(monkeypatch, case):
     exact = [rows for kind, rows in calls if kind == "exact"]
     assert len(exact) == (0 if path == "certified" else 1)
     assert [kind for kind, _ in calls].count("mod p") == 1
+
+
+@pytest.mark.parametrize(
+    "case, matchings",
+    [
+        ("dense random", 0),  # full row rank
+        ("zero rows and columns", 0),  # rank 1, one nonzero row
+        ("structurally deficient", 1),
+        ("cancellation", 1),
+    ],
+)
+def test_matching_runs_only_below_the_nonzero_counts(monkeypatch, case, matchings):
+    m = RANK_CASES[case][0]
+    m = IndexedMatrix(m.rows, m.cols, m.entries)
+    calls = []
+    structural = nilcoh.linalg._structural_rank
+    monkeypatch.setattr(
+        nilcoh.linalg, "_structural_rank", lambda rows: calls.append(rows) or structural(rows)
+    )
+    assert rank(m) == sympy_rank(m)
+    assert len(calls) == matchings
 
 
 def mod_p_rows(rng, nr, nc, density):

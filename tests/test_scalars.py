@@ -28,6 +28,18 @@ def test_construction_and_equality():
     assert GaussianRational(0, 1)
 
 
+def test_parts_are_plain_fractions():
+    class Half(Fraction):
+        pass
+
+    half = Fraction(1, 2)
+    a = GaussianRational(half, Half(1, 2))
+    assert a.re is half  # kept, not copied
+    assert type(a.im) is Fraction and a.im == half
+    assert type(GaussianRational(3).re) is Fraction
+    assert str(a) == "1/2+1/2i" and hash(a) == hash(GaussianRational("1/2", "1/2"))
+
+
 def test_field_operations_against_sympy():
     rng = random.Random(11)
     for _ in range(200):
