@@ -5,7 +5,8 @@ core and a layer whose differentials live in the exterior square of that
 core.  Such structures always satisfy d^2 = 0 and are always nilpotent, so
 every draw is usable without rejection; a draw whose random coefficients
 all vanish is abelian, which keeps both sides of gap-style properties
-populated.
+populated.  ``random_layered`` draws deeper structures, nilpotent or not,
+that must be filtered by the Jacobi check.
 """
 
 from __future__ import annotations
@@ -46,6 +47,28 @@ def random_two_step(rng, n, density=0.4, name="draw", coefficient=rand_gauss):
             for b in range(1, core + 1):
                 if rng.random() < density:
                     f = f + coefficient(rng) * (alpha(a) ^ alphabar(b))
+        diffs.append(f)
+    return AlgebraSpec(name, n, diffs)
+
+
+def random_layered(rng, n, density=0.3, back=0.5, name="layer"):
+    """d a_k draws terms a_i ^ a_j and a_i ^ ~a_j over i, j < k, and with
+    probability ``back`` one term a_k ^ ~a_i, a back-reference to a_k
+    itself.  Without back-references a structure is nilpotent with up to
+    n steps; with them it may not be.  Either kind of term can break the
+    Jacobi identity, so callers keep the draws that pass the Jacobi
+    check."""
+    diffs = []
+    for k in range(1, n + 1):
+        f = Form()
+        for a in range(1, k):
+            for b in range(1, k):
+                if a < b and rng.random() < density:
+                    f = f + rand_gauss(rng) * (alpha(a) ^ alpha(b))
+                if rng.random() < density:
+                    f = f + rand_gauss(rng) * (alpha(a) ^ alphabar(b))
+        if k > 1 and rng.random() < back:
+            f = f + rand_gauss(rng) * (alpha(k) ^ alphabar(rng.randint(1, k - 1)))
         diffs.append(f)
     return AlgebraSpec(name, n, diffs)
 

@@ -197,6 +197,42 @@ class OracleAlgebra:
                 mat[index[w2], col] = c
         return mat
 
+    # ----- the nilpotency flag ------------------------------------------
+
+    def filtration(self):
+        """(nilpotent, dims) of the ascending flag S_1 <= S_2 <= ... of
+        one-forms, S_l = { phi : d phi in Lambda^2(S_{l-1}) } and S_0 = 0,
+        straight from the definition: phi is in S_l exactly when
+        (phi, w) is in the nullspace of [D | W] for some w, D the matrix of
+        d on one-forms and W the wedges of pairs of a basis of S_{l-1}.
+        Stops when the flag reaches all 2n one-forms or repeats."""
+        ones = self.words_total(1)
+        twos = self.words_total(2)
+        index = {w: i for i, w in enumerate(twos)}
+
+        def column(mv):
+            col = sympy.zeros(len(twos), 1)
+            for w, c in mv.items():
+                col[index[w], 0] = c
+            return col
+
+        d_cols = [column(self.d_word(w)) for w in ones]
+        prev = []
+        dims = []
+        while True:
+            wedges = [column(mv_wedge(a, b)) for a, b in itertools.combinations(prev, 2)]
+            kernel = Matrix.hstack(*d_cols, *wedges).nullspace()
+            projected = [v[: len(ones), 0] for v in kernel]
+            basis = Matrix.hstack(*projected).columnspace() if projected else []
+            dims.append(len(basis))
+            if len(basis) == len(ones):
+                return True, dims
+            if len(basis) == len(prev):
+                return False, dims
+            prev = [
+                {w: c for w, c in zip(ones, v) if c != 0} for v in basis
+            ]
+
     # ----- cohomology dimensions ---------------------------------------
 
     def dolbeault_dim(self, p, q):

@@ -26,7 +26,7 @@ from nilcoh.catalog import (
 from nilcoh.forms import Form, alpha, alphabar, component_basis, conjugate
 from nilcoh.scalars import GaussianRational
 
-from generators import rand_rational, random_two_step, rational_specs
+from generators import rand_rational, random_layered, random_two_step, rational_specs
 from oracle import OracleAlgebra, form_to_mv, mv_equal, scalar_to_sympy
 from test_forms import rand_form
 
@@ -186,12 +186,44 @@ def test_validate_rejects_non_integrable():
     assert rep.filtration == [] and not rep.nilpotent_J
 
 
+def solv_spec():
+    return AlgebraSpec("solv", 2, [Form(), (alpha(2) ^ alphabar(1)) + (alpha(1) ^ alphabar(1))])
+
+
+def chain_spec(n):
+    """d a_k = a1 ^ a_{k-1} for k >= 3: the flag climbs by two per step."""
+    return AlgebraSpec("chain", n, [Form(), Form()] + [alpha(1) ^ alpha(k - 1) for k in range(3, n + 1)])
+
+
 def test_non_nilpotent_two_dim():
-    spec = AlgebraSpec("solv", 2, [Form(), (alpha(2) ^ alphabar(1)) + (alpha(1) ^ alphabar(1))])
-    rep = validate(spec)
+    rep = validate(solv_spec())
     assert rep.jacobi_ok
     assert not rep.nilpotent_J
     assert rep.filtration == [2, 2]
+
+
+def test_filtration_matches_oracle():
+    rng = random.Random(15)
+    specs = [nakamura_ce_spec(), solv_spec()]
+    specs += [random_two_step(rng, rng.randint(2, 5), density=0.5) for _ in range(10)]
+    layered = []
+    while len(layered) < 40:
+        spec = random_layered(rng, rng.randint(2, 4))
+        if validate(spec).jacobi_ok:
+            layered.append(spec)
+    seen = set()
+    for spec in specs + layered:
+        rep = validate(spec)
+        expected = OracleAlgebra.from_spec(spec, scalar_to_sympy).filtration()
+        assert (rep.nilpotent_J, rep.filtration) == expected, spec.d_generators
+        seen.add((rep.nilpotent_J, len(rep.filtration)))
+    # past two steps: non-nilpotent layered draws here, nilpotent chains below
+    assert (False, 3) in seen
+    for n in range(3, 7):
+        rep = validate(chain_spec(n))
+        assert rep.nilpotent_J and rep.filtration == list(range(4, 2 * n + 1, 2))
+        expected = OracleAlgebra.from_spec(chain_spec(n), scalar_to_sympy).filtration()
+        assert (True, rep.filtration) == expected
 
 
 def test_filtration_is_basis_change_invariant():
