@@ -22,19 +22,21 @@ and the Forms that d, del and delbar return are built from its final result.
 The Jacobi identity of the dual Lie algebra is exactly ``d . d = 0``, and
 on an anti-derivation that only needs checking on generators.
 
-Nilpotency of the underlying algebra together with integrability of the
-complex structure is detected through the ascending series of degree-one
-subspaces ``S_l = { phi : d phi in Lambda^2(S_{l-1}) }``: the flag
-stabilizes at the full 2n-dimensional space exactly in the nilpotent case.
+The nilpotency flag reads the series ``S_l = { phi : d phi in
+Lambda^2(S_{l-1}) }`` of one-forms, S_0 = 0.  As d phi(X, Y) =
+-phi([X, Y]), S_l = (g^{l+1})^perp for the lower central series g^1 = g,
+g^{l+1} = [g, g^l] of the dual Lie algebra, so S_l reaches all 2n
+one-forms exactly when g is nilpotent.  Integrability is not read off
+the series: the bidegree check of :class:`AlgebraSpec` enforces it.
 """
 
 from __future__ import annotations
 
+import math
 from functools import cache
-from itertools import combinations
 
-from .forms import BasisForm, Form, _mask_form, _mask_indices, degree_basis
-from .linalg import IndexedMatrix, _integer_rows, kernel_basis, span_basis
+from .forms import BasisForm, Form, _mask_form, _mask_indices
+from .linalg import IndexedMatrix, _echelon, _integer_rows
 
 _ALLOWED_BIDEGREES = {(2, 0), (1, 1)}
 
@@ -259,19 +261,6 @@ def deldelbar(spec: AlgebraSpec, x: Form) -> Form:
     return _differentiate(spec, x, 0, 1)
 
 
-def _coefficient_matrix(codomain, cols, images) -> IndexedMatrix:
-    """The matrix whose column j holds the coefficients of the form
-    ``images[j]`` on the ``codomain`` basis; terms outside it are dropped."""
-    index = {bf: i for i, bf in enumerate(codomain)}
-    nonzeros = [[] for _ in codomain]
-    for j, image in enumerate(images):
-        for bf, c in image.terms():
-            i = index.get(bf)
-            if i is not None:
-                nonzeros[i].append((j, c))
-    return IndexedMatrix.from_nonzeros(codomain, cols, nonzeros)
-
-
 def differential_matrix(spec: AlgebraSpec, domain, codomain, dp=None) -> IndexedMatrix:
     """Matrix of d, or with dp = 1 (dp = 0) of del (delbar), from the span
     of the ``domain`` monomials to the span of the ``codomain`` monomials:
@@ -297,37 +286,45 @@ def differential_matrix(spec: AlgebraSpec, domain, codomain, dp=None) -> Indexed
 
 
 def nilpotency_filtration(spec: AlgebraSpec):
-    """(nilpotent_J, dims): the ascending flag S_1 <= S_2 <= ... of
-    degree-one subspaces with d S_l inside Lambda^2(S_{l-1}).
+    """(nilpotent_J, dims): dim S_l = 2n - dim g^{l+1} for l = 1, 2, ...,
+    appended until the flag reaches 2n (nilpotent, 2n is the last entry)
+    or repeats (not nilpotent, the repeated dimension is recorded).
 
-    Dimensions are appended while strictly increasing; the loop stops when
-    the flag reaches the full 2n-dimensional space (nilpotent, the final
-    dimension 2n is the last entry) or repeats (not nilpotent, the repeated
-    dimension is recorded)."""
-    n = spec.n
-    v_basis = degree_basis(n, 1)
-    two_basis = degree_basis(n, 2)
-    d_images = [_apply(spec, {m: (1, 0)}, 1, None) for m in _basis_masks(n, v_basis)]
-
-    prev_vectors = []
+    A term c e_x ^ e_y (x < y) of d e_b gives [E_x, E_y] the entry c at b;
+    the sign and L change no span.  Each step brackets every E_x with every
+    basis row of g^l and eliminates the nonzero results once; the reduced
+    rows, denominators cleared, are the basis of g^{l+1}."""
+    size = 2 * spec.n
+    ad = [{} for _ in range(size)]  # ad[x][y]: [E_x, E_y] as (b, re, im)
+    for b, placed in _term_tables(spec)[1][None]:
+        for g, _, re, im in placed:
+            x, y = (g & -g).bit_length() - 1, g.bit_length() - 1
+            ad[x].setdefault(y, []).append((b.bit_length() - 1, re, im))
+            ad[y].setdefault(x, []).append((b.bit_length() - 1, -re, -im))
+    series = [{j: (1, 0)} for j in range(size)]
     dims = []
     while True:
-        prev_forms = [
-            Form({bf: c for bf, c in zip(v_basis, vec) if c})
-            for vec in prev_vectors
-        ]
-        # d columns first, then the wedges spanning Lambda^2(S_{l-1})
-        images = d_images + [w for a, b in combinations(prev_forms, 2) if (w := a ^ b)]
-        m = _coefficient_matrix(two_basis, range(len(images)), images)
-        projected = [vec[: 2 * n] for vec in kernel_basis(m)]
-        vectors = span_basis(projected)
-        dim = len(vectors)
-        dims.append(dim)
-        if dim == 2 * n:
-            return True, dims
-        if dim == len(prev_vectors):
-            return False, dims
-        prev_vectors = vectors
+        rows = []
+        for ad_x in ad:
+            for row in series:
+                out = {}
+                for y, (yr, yi) in row.items():
+                    for b, cr, ci in ad_x.get(y, ()):
+                        xr, xi = out.get(b, (0, 0))
+                        out[b] = (xr + yr * cr - yi * ci, xi + yr * ci + yi * cr)
+                bracket = [(b, re, im) for b, (re, im) in out.items() if re or im]
+                if bracket:
+                    rows.append(bracket)
+        pivots, reduced, (lr, li), _ = _echelon(rows, size, True)
+        dims.append(size - len(pivots))
+        if not pivots or len(pivots) == len(series):
+            return not pivots, dims
+        series = []
+        for row in reduced[: len(pivots)]:
+            # row / last is a reduced row: keep it times the lcm of its denominators
+            row = [(j, re * lr + im * li, im * lr - re * li) for j, (re, im) in row.items()]
+            g = math.gcd(*(v for _, re, im in row for v in (re, im)))
+            series.append({j: (re // g, im // g) for j, re, im in row})
 
 
 def jacobi_failures(spec: AlgebraSpec) -> list:

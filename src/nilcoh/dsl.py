@@ -15,7 +15,7 @@ anti-holomorphic factors (bidegree (0,2)) is rejected: such a differential
 is incompatible with an integrable complex structure.  Omitted d-lines mean
 ``d a_i = 0``.  Generators are 1-based and must stay within ``dim``, which
 runs from 1 to ``algebra.MAX_DIM`` (64); a header outside that range is
-refused at the column of its dimension.
+refused at the column of its dimension.  Numbers are ASCII digits only.
 
 Example (complex Heisenberg structure)::
 
@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import re as _re
 
-from .algebra import AlgebraSpec, check_dimension
+from .algebra import MAX_DIM, AlgebraSpec, check_dimension
 from .forms import BasisForm, Form, wedge_basis
 from .scalars import parse_scalar
 
 _IDENT_RE = _re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_INT_RE = _re.compile(r"\d+")
-_GEN_RE = _re.compile(r"a(\d+)")
+_INT_RE = _re.compile(r"\d+", _re.ASCII)
+_GEN_RE = _re.compile(r"a(\d+)", _re.ASCII)
 
 
 class StructureSyntaxError(Exception):
@@ -104,14 +104,14 @@ def _parse_factor(sc: _LineScanner, n: int):
         sc.expect("~")
         is_anti = True
     col = sc.pos
-    m = sc.match_re(_GEN_RE, "generator like a2 or ~a2")
-    idx = int(m.group(1))
+    digits = sc.match_re(_GEN_RE, "generator like a2 or ~a2").group(1).lstrip("0")
+    # an index with more digits than MAX_DIM is out of range: refused here,
+    # int() never sees thousands of digits
+    if len(digits) > len(str(MAX_DIM)):
+        sc.error("generator index of %d digits out of range 1..%d" % (len(digits), n), col)
+    idx = int(digits or "0")
     if not 1 <= idx <= n:
-        raise StructureSyntaxError(
-            "generator index %d out of range 1..%d" % (idx, n),
-            sc.lineno,
-            col + 1,
-        )
+        sc.error("generator index %d out of range 1..%d" % (idx, n), col)
     return is_anti, idx
 
 

@@ -20,8 +20,9 @@ reduction, and a step costs the nonzeros of the rows it touches.  A
 forward pass gives ``greedy_complement`` and the determinants behind
 ``MetricForm.leading_minors``.  The fraction-free Gauss-Jordan extension
 gives the reduced row echelon form, which is unique: ``kernel_basis``
-reads normalized kernel vectors (first nonzero coordinate 1) off it and
-``span_basis`` returns its nonzero rows.
+reads normalized kernel vectors (first nonzero coordinate 1) off it,
+``span_basis`` returns its nonzero rows and ``nilpotency_filtration``
+clears their denominators for each term of the lower central series.
 
 ``rank`` needs no vectors, so it first tries to certify the rank from two
 cheap bounds.  The lower bound is the rank of the integer rows mod one

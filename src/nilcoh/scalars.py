@@ -20,7 +20,8 @@ _SCALAR_RE = _re.compile(
     r"|(?P<im_only>{rat})\s*i"  # 3i, -1/2i
     r"|(?P<sign_i>[+-]?)\s*i"  # i, -i
     r"|(?P<re_part>{rat})\s*(?P<op>[+-])\s*(?:(?P<im_part>\d+(?:/\d+)?)\s*)?i"  # 1+2i, 1/2-3/4i, 1+i
-    r")\s*$".format(rat=_RAT)
+    r")\s*$".format(rat=_RAT),
+    _re.ASCII,
 )
 
 

@@ -51,26 +51,26 @@ def random_two_step(rng, n, density=0.4, name="draw", coefficient=rand_gauss):
     return AlgebraSpec(name, n, diffs)
 
 
-def random_layered(rng, n, density=0.3, back=0.5, name="layer"):
-    """d a_k draws terms a_i ^ a_j and a_i ^ ~a_j over i, j < k, and with
-    probability ``back`` one term a_k ^ ~a_i, a back-reference to a_k
-    itself.  Without back-references a structure is nilpotent with up to
-    n steps; with them it may not be.  Either kind of term can break the
-    Jacobi identity, so callers keep the draws that pass the Jacobi
-    check."""
+def random_layered(rng, n):
+    """d a_k draws terms a_i ^ a_j and a_i ^ ~a_j over i, j < k, each with
+    probability 0.3, and with probability 0.5 one term a_k ^ ~a_i, a
+    back-reference to a_k itself.  Without back-references a structure is
+    nilpotent with up to n steps; with them it may not be.  Either kind of
+    term can break the Jacobi identity, so callers keep the draws that
+    pass the Jacobi check."""
     diffs = []
     for k in range(1, n + 1):
         f = Form()
         for a in range(1, k):
             for b in range(1, k):
-                if a < b and rng.random() < density:
+                if a < b and rng.random() < 0.3:
                     f = f + rand_gauss(rng) * (alpha(a) ^ alpha(b))
-                if rng.random() < density:
+                if rng.random() < 0.3:
                     f = f + rand_gauss(rng) * (alpha(a) ^ alphabar(b))
-        if k > 1 and rng.random() < back:
+        if k > 1 and rng.random() < 0.5:
             f = f + rand_gauss(rng) * (alpha(k) ^ alphabar(rng.randint(1, k - 1)))
         diffs.append(f)
-    return AlgebraSpec(name, n, diffs)
+    return AlgebraSpec("layer", n, diffs)
 
 
 def rand_rational(rng):

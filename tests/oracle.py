@@ -229,9 +229,7 @@ class OracleAlgebra:
                 return True, dims
             if len(basis) == len(prev):
                 return False, dims
-            prev = [
-                {w: c for w, c in zip(ones, v) if c != 0} for v in basis
-            ]
+            prev = [{w: c for w, c in zip(ones, v) if c != 0} for v in basis]
 
     # ----- cohomology dimensions ---------------------------------------
 

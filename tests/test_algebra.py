@@ -226,6 +226,15 @@ def test_filtration_matches_oracle():
         assert (True, rep.filtration) == expected
 
 
+def test_filtration_at_the_dimension_limit():
+    spec = AlgebraSpec("x", MAX_DIM, [Form()] * (MAX_DIM - 1) + [alpha(1) ^ alpha(2)])
+    rep = validate(spec)
+    assert rep.jacobi_ok and rep.nilpotent_J
+    assert rep.filtration == [2 * MAX_DIM - 2, 2 * MAX_DIM]
+    chain = validate(chain_spec(MAX_DIM))
+    assert chain.nilpotent_J and chain.filtration == list(range(4, 2 * MAX_DIM + 1, 2))
+
+
 def test_filtration_is_basis_change_invariant():
     # replace a3 by a3 + 2*a1 in the Iwasawa structure: d(new a3) unchanged
     spec = AlgebraSpec("iw2", 3, [Form(), Form(), -(alpha(1) ^ alpha(2))])

@@ -380,6 +380,14 @@ def test_validate_dimension_beyond_the_limit_exits_two(tmp_path, capsys):
     )
 
 
+def test_validate_at_the_dimension_limit(tmp_path, capsys):
+    path = tmp_path / "top.alg"
+    path.write_text("algebra x dim %d\nd a%d = (1) * a1 ^ a2\n" % (MAX_DIM, MAX_DIM), encoding="ascii")
+    code, out, _ = run(capsys, ["validate", str(path)])
+    assert code == 0
+    assert json.loads(out)["filtration"] == [2 * MAX_DIM - 2, 2 * MAX_DIM]
+
+
 def test_catalog_suite_subset(capsys):
     code, out, _ = run(capsys, ["catalog", "suite", "kodaira", "torus(1)"])
     assert code == 0

@@ -72,6 +72,12 @@ def test_repeated_monomials_accumulate():
         ("algebra t dim 2\nd a2 = (1)*a1^a2\nd a2 = (1)*a1^a2\n", "duplicate"),
         ("algebra t dim 2\nwat a2 = (1)*a1^a2\n", "d"),
         ("algebra t dim x\n", "dim"),
+        # numbers are ASCII digits only
+        ("algebra t dim \u0663\n", "expected dimension"),
+        ("algebra t dim 3\nd a\u0663 = (1)*a1^a2\n", "expected generator"),
+        ("algebra t dim 3\nd a3 = (1)*a1^a\u0662\n", "expected generator"),
+        ("algebra t dim 3\nd a3 = (\u0661)*a1^a2\n", "malformed scalar"),
+        ("algebra t dim 3\nd a3 = (1/\u0662)*a1^a2\n", "malformed scalar"),
     ],
 )
 def test_rejects_bad_input(text, fragment):
@@ -96,6 +102,18 @@ def test_dimension_beyond_the_limit_is_refused_at_its_column():
     with pytest.raises(StructureSyntaxError, match="positive") as err:
         parse_structure_file("algebra x   dim 0\n")
     assert err.value.col == 17
+
+
+def test_long_generator_index_is_out_of_range_at_its_column():
+    text = "algebra x dim 3\nd a3 = (1) * a1 ^ a%s\n" % ("1" * 5000)
+    with pytest.raises(StructureSyntaxError, match="of 5000 digits out of range 1..3") as err:
+        parse_structure_file(text)
+    assert (err.value.line, err.value.col) == (2, 19)
+    with pytest.raises(StructureSyntaxError, match="generator index 65 out of range 1..3"):
+        parse_structure_file("algebra x dim 3\nd a3 = (1) * a1 ^ a65\n")
+    # leading zeros do not count towards the length
+    spec = parse_structure_file("algebra x dim 3\nd a0003 = (1) * a0001 ^ a002\n")
+    assert spec.d_alpha(3) == alpha(1) ^ alpha(2)
 
 
 def test_round_trip_fixed_specs():
