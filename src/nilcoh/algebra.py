@@ -56,6 +56,17 @@ def check_dimension(n: int) -> int:
     return n
 
 
+def parse_dimension(text: str) -> int:
+    """The dimension written in ASCII digits in ``text``, checked by
+    :func:`check_dimension`; too many digits are refused before ``int``."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError("dimension n must be written in the digits 0-9")
+    digits = text.lstrip("0")
+    if len(digits) > len(str(MAX_DIM)):
+        raise ValueError("dimension n of %d digits exceeds the limit %d" % (len(digits), MAX_DIM))
+    return check_dimension(int(digits or "0"))
+
+
 class AlgebraSpec:
     """Dimension n plus the generator differentials d a_1 .. d a_n."""
 

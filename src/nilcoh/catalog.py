@@ -12,8 +12,9 @@ families::
     exnilp_ones(n)                  exnilp with A=0 and B all ones (astheno)
     product(k1,k2)                  direct sum of two catalog entries
 
-The dimension n of ``torus``, ``exnilp`` and ``exnilp_ones`` runs from 1 to
-``algebra.MAX_DIM`` and is checked before anything is built.
+The dimension n of ``torus``, ``exnilp`` and ``exnilp_ones`` is written in
+ASCII digits, runs from 1 to ``algebra.MAX_DIM`` and is checked before
+anything is built.
 
 Every fixture value carries a provenance label:
 
@@ -38,7 +39,7 @@ from fractions import Fraction
 from functools import cache
 from math import comb
 
-from .algebra import MAX_DIM, AlgebraSpec, check_dimension, direct_sum, validate
+from .algebra import MAX_DIM, AlgebraSpec, direct_sum, parse_dimension, validate
 from .cohomology import derham_betti, hodge_number, hodge_table, natural_map_rank
 from .forms import BasisForm, Form, alpha, alphabar
 from .metrics import (
@@ -516,9 +517,9 @@ def catalog_get(key: str) -> CatalogEntry:
     args = _split_top(rest[:-1])
     try:
         if head == "torus":
-            return _torus(check_dimension(int(args[0])))
+            return _torus(parse_dimension(args[0]))
         if head == "exnilp_ones":
-            return _exnilp_ones(check_dimension(int(args[0])))
+            return _exnilp_ones(parse_dimension(args[0]))
         if head == "fps_skt":
             if len(args) != 5:
                 raise CatalogKeyError("fps_skt wants five scalars")
@@ -526,7 +527,7 @@ def catalog_get(key: str) -> CatalogEntry:
         if head == "exnilp":
             if len(args) != 3:
                 raise CatalogKeyError("exnilp wants (n, A=..., B=...)")
-            n = check_dimension(int(args[0]))
+            n = parse_dimension(args[0])
             named = {}
             for arg in args[1:]:
                 tag, _, value = arg.partition("=")

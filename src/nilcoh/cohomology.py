@@ -23,18 +23,20 @@ Each hodge table carries a validity flag: ``nilpotent_J`` when the
 nilpotency filtration closes at the full degree-one space (for those specs
 the invariant computation computes the corresponding compact-quotient
 numbers), ``ce_only`` otherwise (the numbers are still well-defined
-invariants of the complex, but carry no manifold-level claim).
+invariants of the complex, but carry no manifold-level claim).  The
+filtration is the lower central series of g, so the flag says that the
+Lie algebra is nilpotent, not that J is (Cordero-Fernandez-Gray-Ugarte).
 """
 
 from __future__ import annotations
 
-from .algebra import AlgebraSpec, differential_matrix, validate
-from .forms import Form, component_basis, degree_basis
+from .algebra import AlgebraSpec, _basis_masks, differential_matrix, validate
+from .forms import _mask_form, component_basis, degree_basis
 from .linalg import (
     IndexedMatrix,
+    _kernel_vectors,
     greedy_complement,
     hstack,
-    kernel_basis,
     rank,
     subquotient_dim,
     vstack,
@@ -150,6 +152,18 @@ def derham_betti(spec: AlgebraSpec) -> list:
     ]
 
 
+def _vector_forms(spec: AlgebraSpec, cols, vectors):
+    """The Forms of Gaussian-integer vectors over the monomials ``cols``,
+    each divided by its first nonzero entry l as x conj(l) / |l|^2."""
+    masks = _basis_masks(spec.n, cols)
+    out = []
+    for vec in vectors:
+        lr, li = vec[min(vec)]
+        terms = {masks[j]: (re * lr + im * li, im * lr - re * li) for j, (re, im) in vec.items()}
+        out.append(_mask_form(spec.n, terms, lr * lr + li * li))
+    return out
+
+
 def class_representatives(spec: AlgebraSpec, theory: str, p: int, q: int):
     """Forms whose classes are a basis of h^{p,q} in the given theory.
 
@@ -160,11 +174,9 @@ def class_representatives(spec: AlgebraSpec, theory: str, p: int, q: int):
     if not (0 <= p <= spec.n and 0 <= q <= spec.n):
         return []
     kernel_of, image = _theory_operators(spec, theory, p, q)
-    kernel_vectors = kernel_basis(kernel_of)
-    return [
-        Form({bf: c for bf, c in zip(kernel_of.cols, kernel_vectors[i]) if c})
-        for i in greedy_complement(image, kernel_vectors)
-    ]
+    vectors = _kernel_vectors(kernel_of)
+    chosen = greedy_complement(image, vectors)
+    return _vector_forms(spec, kernel_of.cols, [vectors[i] for i in chosen])
 
 
 def natural_map_rank(spec: AlgebraSpec, p: int, q: int) -> int:

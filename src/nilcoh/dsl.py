@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re as _re
 
-from .algebra import MAX_DIM, AlgebraSpec, check_dimension
+from .algebra import MAX_DIM, AlgebraSpec, parse_dimension
 from .forms import BasisForm, Form, wedge_basis
 from .scalars import parse_scalar
 
@@ -165,7 +165,7 @@ def parse_structure_file(text: str) -> AlgebraSpec:
             sc.keyword("dim")
             digits = sc.match_re(_INT_RE, "dimension")
             try:
-                n = check_dimension(int(digits.group(0)))
+                n = parse_dimension(digits.group(0))
             except ValueError as exc:
                 sc.error(str(exc), digits.start())
             if not sc.at_end():

@@ -6,8 +6,8 @@ row, as Gaussian integers (re, im) over one denominator shared by the
 whole matrix, and all the work is done on those integers.  The product
 multiplies nonzero by nonzero in Z[i] and multiplies the denominators;
 the stacks bring their operands to a common denominator.  Gaussian
-rationals are built only when a caller reads values: ``nonzeros()``,
-``column`` and the dense ``entries`` are views.
+rationals are built only at the edge: the dense constructor and the dense
+``entries`` view, and the vectors of ``kernel_basis`` and ``span_basis``.
 
 One fraction-free echelon routine does all the exact elimination.  It
 keeps every row as a dict from column to Gaussian integer holding its
@@ -19,10 +19,11 @@ so numerators and denominators do not grow through repeated gcd
 reduction, and a step costs the nonzeros of the rows it touches.  A
 forward pass gives ``greedy_complement`` and the determinants behind
 ``MetricForm.leading_minors``.  The fraction-free Gauss-Jordan extension
-gives the reduced row echelon form, which is unique: ``kernel_basis``
-reads normalized kernel vectors (first nonzero coordinate 1) off it,
-``span_basis`` returns its nonzero rows and ``nilpotency_filtration``
-clears their denominators for each term of the lower central series.
+gives the reduced row echelon form, which is unique: the kernel vectors
+are read off it over Z[i] (``kernel_basis`` normalizes them, first
+nonzero coordinate 1), ``span_basis`` returns its nonzero rows and
+``nilpotency_filtration`` clears their denominators for each term of the
+lower central series.
 
 ``rank`` needs no vectors, so it first tries to certify the rank from two
 cheap bounds.  The lower bound is the rank of the integer rows mod one
@@ -34,7 +35,7 @@ pattern: a nonzero r x r minor has a nonzero term, which is such a
 matching.  When the bounds meet, that is the rank; otherwise (a prime
 dividing a minor, or a cancellation the pattern cannot see) the exact
 forward pass decides.  Every answer is exact.  A matrix never changes,
-so ``rank`` and ``kernel_basis`` store the rank in the matrix and it is
+so ``rank`` and the kernel store the rank in the matrix and it is
 computed once.
 
 The rank mod p has two layouts, chosen by density.  Dict rows of the
@@ -89,9 +90,8 @@ class IndexedMatrix:
     nonzero entries of row ``rows[i]``, and ``denominator`` is a positive
     integer: the entry is (re + im i) / denominator.  The entry in row
     ``rows[i]`` and column ``cols[j]`` is the coefficient of ``rows[i]``
-    in the image of ``cols[j]``.  ``nonzeros()`` (the same pairs with
-    Gaussian rational values), ``column`` and ``entries`` (the dense rows)
-    are views, built on each read.
+    in the image of ``cols[j]``.  ``entries``, the dense rows of Gaussian
+    rationals, is a view built on each read.
     """
 
     __slots__ = ("rows", "cols", "denominator", "_int_rows", "_rank")
@@ -128,12 +128,6 @@ class IndexedMatrix:
         return len(self.cols)
 
     @classmethod
-    def from_nonzeros(cls, rows, cols, nonzeros):
-        """Build from each row's (column index, Gaussian rational) pairs;
-        pairs with a zero value are dropped."""
-        return cls.from_int_rows(rows, cols, *_integer_rows(nonzeros))
-
-    @classmethod
     def from_int_rows(cls, rows, cols, int_rows, denominator=1):
         """Build from each row's (column index, re, im) triples of nonzero
         Gaussian integers, as tuples, over a positive ``denominator``."""
@@ -144,34 +138,20 @@ class IndexedMatrix:
     def int_rows(self):
         """Per row, the (column index, re, im) triples of its nonzero
         entries times ``denominator``, in column order unless the matrix
-        was built from pairs or is a product."""
+        is a product."""
         return self._int_rows
-
-    def nonzeros(self):
-        """Per row, the (column index, value) pairs of its nonzero
-        entries, in the order of ``int_rows()``."""
-        den = self.denominator
-        return tuple(
-            tuple((j, _gauss(re, im, den)) for j, re, im in row) for row in self._int_rows
-        )
 
     @property
     def entries(self):
         """The dense rows, as a tuple of tuples."""
+        den = self.denominator
         out = []
-        for row in self.nonzeros():
+        for row in self._int_rows:
             dense = [_GR_ZERO] * len(self.cols)
-            for j, z in row:
-                dense[j] = z
+            for j, re, im in row:
+                dense[j] = _gauss(re, im, den)
             out.append(tuple(dense))
         return tuple(out)
-
-    def column(self, j):
-        den = self.denominator
-        return tuple(
-            next((_gauss(re, im, den) for k, re, im in row if k == j), _GR_ZERO)
-            for row in self._int_rows
-        )
 
     def __matmul__(self, other):
         if not isinstance(other, IndexedMatrix):
@@ -216,11 +196,6 @@ def _gauss(re, im, den) -> GaussianRational:
     if den == 1:
         return GaussianRational(re, im)
     return GaussianRational(Fraction(re, den), Fraction(im, den))
-
-
-def _nonzero_pairs(vector):
-    """The (index, value) pairs of a vector's nonzero entries."""
-    return tuple((j, z) for j, z in enumerate(vector) if z)
 
 
 def _denominator(values):
@@ -327,20 +302,14 @@ def _gi_div_exact(a, b):
     return (qr, qi)
 
 
-def _gi_ratio(a, b) -> GaussianRational:
-    """The Gaussian rational a / b of two Gaussian integers (b nonzero)."""
-    d = b[0] * b[0] + b[1] * b[1]
-    return GaussianRational(
-        Fraction(a[0] * b[0] + a[1] * b[1], d),
-        Fraction(a[1] * b[0] - a[0] * b[1], d),
-    )
-
-
 def _dense_quotient(row, d, ncols):
-    """The Q(i) vector row / d, for a dict row of Gaussian integers."""
+    """The Q(i) vector row / d = row conj(d) / |d|^2, for a dict row of
+    Gaussian integers."""
+    dr, di = d
+    norm = dr * dr + di * di
     out = [_GR_ZERO] * ncols
-    for j, x in row.items():
-        out[j] = _gi_ratio(x, d)
+    for j, (re, im) in row.items():
+        out[j] = _gauss(re * dr + im * di, im * dr - re * di, norm)
     return tuple(out)
 
 
@@ -609,50 +578,58 @@ def rank(m: IndexedMatrix) -> int:
     return m._rank
 
 
+def _kernel_vectors(m: IndexedMatrix):
+    """Basis of the kernel over Z[i]: one vector per free column, in
+    column order, each a dict column -> (re, im) of its nonzeros.
+
+    Read off the fraction-free reduced form: the vector of free column f
+    holds ``last`` at f and -row_k[f] at pivot k.  Stores the rank in ``m``.
+    """
+    pivots, rows, last, _ = _echelon(m.int_rows(), m.ncols, True)
+    object.__setattr__(m, "_rank", len(pivots))
+    pivot_set = set(pivots)
+    vectors = {f: {f: last} for f in range(m.ncols) if f not in pivot_set}
+    for k, p in enumerate(pivots):
+        for f, x in rows[k].items():
+            if f not in pivot_set:
+                vectors[f][p] = (-x[0], -x[1])
+    return list(vectors.values())
+
+
 def kernel_basis(m: IndexedMatrix):
     """Basis of the kernel: one normalized vector per free column.
 
     Vectors are tuples over the column labels, first nonzero coordinate 1,
     ordered by free column index (deterministic).
     """
-    nc = m.ncols
-    pivots, rows, last, _ = _echelon(m.int_rows(), nc, True)
-    object.__setattr__(m, "_rank", len(pivots))
-    pivot_set = set(pivots)
-    # free column f: `last` at f and -row_k[f] at pivot k
-    vectors = {f: {f: last} for f in range(nc) if f not in pivot_set}
-    for k, p in enumerate(pivots):
-        for f, x in rows[k].items():
-            if f not in pivot_set:
-                vectors[f][p] = (-x[0], -x[1])
-    return [_dense_quotient(vec, vec[min(vec)], nc) for vec in vectors.values()]
+    return [_dense_quotient(vec, vec[min(vec)], m.ncols) for vec in _kernel_vectors(m)]
 
 
 def span_basis(vectors):
     """Reduced (RREF-row) basis of the span of the given vectors."""
     vectors = list(vectors)
-    nonzero = [row for row in map(_nonzero_pairs, vectors) if row]
-    if not nonzero:
+    if not vectors:
         return []
     nc = len(vectors[0])
-    pivots, rows, last, _ = _echelon(_integer_rows(nonzero)[0], nc, True)
+    pivots, rows, last, _ = _echelon(_integer_rows(map(enumerate, vectors))[0], nc, True)
     return [_dense_quotient(row, last, nc) for row in rows[: len(pivots)]]
 
 
 def greedy_complement(base: IndexedMatrix, candidates):
-    """Indices of candidate vectors (over base's row labels) that enlarge
-    the span of base's columns, scanned in order — the classes of the
-    chosen candidates form a basis of span(base + candidates) / span(base).
-    The candidates, scaled to Gaussian integers, are appended to base's
-    integer rows: scaling a block of columns moves no pivot column."""
-    candidates = list(candidates)
-    if any(len(v) != base.nrows for v in candidates):
-        raise ValueError("greedy_complement: candidate length does not match")
+    """Indices of the candidates, dicts row index -> (re, im) of Gaussian
+    integers as :func:`_kernel_vectors` gives them, that enlarge the span
+    of base's columns, scanned in order — the classes of the chosen ones
+    form a basis of span(base + candidates) / span(base).  The candidates
+    are appended to base's integer rows as columns: scaling a column moves
+    no pivot column."""
     nb = base.ncols
-    extra = _integer_rows(
-        [(nb + k, v[i]) for k, v in enumerate(candidates)] for i in range(base.nrows)
-    )[0]
-    rows = [a + b for a, b in zip(base.int_rows(), extra)]
+    extra = [[] for _ in range(base.nrows)]
+    for k, vec in enumerate(candidates):
+        for i, (re, im) in vec.items():
+            if not 0 <= i < base.nrows:
+                raise ValueError("greedy_complement: candidate row %r out of range" % (i,))
+            extra[i].append((nb + k, re, im))
+    rows = [a + tuple(b) for a, b in zip(base.int_rows(), extra)]
     pivots = _echelon(rows, nb + len(candidates), False)[0]
     return [c - nb for c in pivots if c >= nb]
 
@@ -668,8 +645,8 @@ def check_containment(kernel_of: IndexedMatrix, image: IndexedMatrix):
         j = min(escaped)
         raise ContainmentError(
             "image vector escapes the kernel (inconsistent complex)",
-            witness=image.column(j),
-            value=prod.column(j),
+            witness=tuple(row[j] for row in image.entries),
+            value=tuple(row[j] for row in prod.entries),
         )
 
 

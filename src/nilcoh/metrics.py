@@ -51,7 +51,7 @@ from math import factorial
 
 from .algebra import AlgebraSpec, _apply
 from .forms import Form, _mask_form
-from .linalg import _echelon, _integer_rows, _nonzero_pairs
+from .linalg import _echelon, _integer_rows
 from .scalars import GaussianRational
 
 _CONDITIONS = ("kahler", "gauduchon", "skt", "astheno", "ft_pair")
@@ -116,7 +116,7 @@ class MetricForm:
             return {0: (1, 0)}, 1
         if k > n:
             return {}, 1
-        int_rows, scale = _integer_rows(map(_nonzero_pairs, self.H))
+        int_rows, scale = _integer_rows(map(enumerate, self.H))
         rows = [[(1 << t, gr, gi) for t, gr, gi in row] for row in int_rows]
         # level m maps a row mask to {column mask: minor}.  A row set that
         # grows by k - m more rows, each one above its first row, starts at
@@ -166,7 +166,7 @@ class MetricForm:
         minors = []
         for k in range(1, self.n + 1):
             block = [row[:k] for row in self.H[:k]]
-            rows, scale = _integer_rows(map(_nonzero_pairs, block))
+            rows, scale = _integer_rows(map(enumerate, block))
             pivots, _, last, sign = _echelon(rows, k, False)
             if len(pivots) < k:
                 minors.append(Fraction(0))

@@ -28,9 +28,9 @@ Reports carry a validity flag: conclusions are manifold-level only for
 from __future__ import annotations
 
 from .algebra import AlgebraSpec, d, del_, direct_sum, validate
-from .cohomology import class_representatives, hodge_number, operator_matrix
+from .cohomology import _vector_forms, class_representatives, hodge_number, operator_matrix
 from .forms import BasisForm, Form
-from .linalg import kernel_basis
+from .linalg import _kernel_vectors
 from .metrics import MetricForm, check_condition
 
 
@@ -142,10 +142,7 @@ class ObstructionReport:
 def holomorphic_one_forms(spec: AlgebraSpec):
     """Basis of delbar-closed (1,0)-forms, in canonical reduced form."""
     m = operator_matrix(spec, "delbar", 1, 0)
-    return [
-        Form({bf: c for bf, c in zip(m.cols, vec) if c})
-        for vec in kernel_basis(m)
-    ]
+    return _vector_forms(spec, m.cols, _kernel_vectors(m))
 
 
 def jost_yau(spec: AlgebraSpec) -> JostYauResult:

@@ -41,6 +41,8 @@ def test_parametrized_torus():
     entry = catalog_get("torus(5)")
     assert entry.spec.n == 5
     assert all(entry.spec.d_alpha(j).is_zero() for j in range(1, 6))
+    # leading zeros and surrounding blanks are read
+    assert catalog_get("torus( 0005 )").key == entry.key
 
 
 def test_parametrized_fps():
@@ -81,6 +83,25 @@ def test_unknown_key_lists_alternatives():
         catalog_get("fps_skt(1,2)")
     with pytest.raises(CatalogKeyError):
         catalog_get("exnilp(3,A=0,B=[[1],[1]")
+
+
+@pytest.mark.parametrize(
+    "key, message",
+    [
+        ("torus(\u0662)", "written in the digits 0-9"),  # ARABIC-INDIC DIGIT TWO
+        ("exnilp_ones(\uff13)", "written in the digits 0-9"),  # FULLWIDTH DIGIT THREE
+        ("torus(-1)", "written in the digits 0-9"),
+        ("torus(%s)" % ("9" * 5000), "of 5000 digits exceeds the limit 64"),
+        ("exnilp(%s,A=0,B=0)" % ("1" * 5000), "of 5000 digits exceeds the limit 64"),
+    ],
+    ids=["arabic-indic", "fullwidth", "sign", "torus-5000-digits", "exnilp-5000-digits"],
+)
+def test_dimension_in_a_key_takes_ascii_digits_within_the_limit(capsys, key, message):
+    with pytest.raises(CatalogKeyError, match=message):
+        catalog_get(key)
+    assert main(["catalog", "show", key]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.endswith(message + "\n")
 
 
 def test_run_suite_all_green():

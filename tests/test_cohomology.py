@@ -4,6 +4,8 @@ import random
 from math import comb
 
 import pytest
+from sympy import QQ_I
+from sympy.polys.matrices import DomainMatrix
 
 from nilcoh.algebra import d, del_, delbar, deldelbar, validate
 from nilcoh.catalog import (
@@ -28,7 +30,8 @@ from nilcoh.cohomology import (
 )
 from nilcoh.dsl import parse_structure_file
 from nilcoh.forms import Form, alpha, alphabar, component_basis, degree_basis
-from nilcoh.linalg import IndexedMatrix, hstack, rank, vstack
+from nilcoh.linalg import IndexedMatrix, hstack, kernel_basis, rank, vstack
+from nilcoh.obstructions import holomorphic_one_forms
 from nilcoh.scalars import GaussianRational
 
 from oracle import OracleAlgebra, scalar_to_sympy
@@ -350,7 +353,7 @@ def test_each_group_is_one_cached_pair(monkeypatch):
         calls[name] = []
         monkeypatch.setattr(module, name, lambda *args: calls[name].append(args) or fn(*args))
 
-    for name in ("subquotient_dim", "kernel_basis", "greedy_complement", "rank"):
+    for name in ("subquotient_dim", "_kernel_vectors", "greedy_complement", "rank"):
         spy(nilcoh.cohomology, name)
     spy(nilcoh.linalg, "_certified_rank")
     spec = catalog_get("exnilp_ones(3)").spec
@@ -361,7 +364,7 @@ def test_each_group_is_one_cached_pair(monkeypatch):
         kernel_of, image = _theory_operators(spec, theory, p, q)
         kernel_arg, image_arg = calls["subquotient_dim"][-1]
         assert kernel_arg is kernel_of and image_arg is image
-        assert calls["kernel_basis"][-1][0] is kernel_of
+        assert calls["_kernel_vectors"][-1][0] is kernel_of
         assert calls["greedy_complement"][-1][0] is image
     natural_map_rank(spec, p, q)
     closed, exact = _theory_operators(spec, "bott_chern", p, q)
@@ -396,3 +399,46 @@ def test_natural_map_rank_equals_joint_operator_reference():
                 kernel_dim = rank(image) - rank(closed @ image) - rank(exact)
                 h_bc = hodge_number(spec, "bott_chern", p, q)
                 assert natural_map_rank(spec, p, q) == h_bc - kernel_dim
+
+
+def _vector_form(cols, vec):
+    return Form({bf: c for bf, c in zip(cols, vec) if c})
+
+
+def _reference_representatives(spec, theory, p, q):
+    """The public rational ``kernel_basis`` of the group's kernel operator,
+    kept where its column is a pivot of the RREF of [image | kernel
+    vectors] over Q(i), computed by sympy."""
+    kernel_of, image = _theory_operators(spec, theory, p, q)
+    vectors = kernel_basis(kernel_of)
+
+    def qq_i(z):
+        return QQ_I(z.re, z.im)
+
+    joined = [
+        [qq_i(z) for z in row] + [qq_i(v[i]) for v in vectors]
+        for i, row in enumerate(image.entries)
+    ]
+    shape = (image.nrows, image.ncols + len(vectors))
+    pivots = DomainMatrix(joined, shape, QQ_I).rref()[1]
+    chosen = [j - image.ncols for j in pivots if j >= image.ncols]
+    return [_vector_form(kernel_of.cols, vectors[k]) for k in chosen]
+
+
+def test_representatives_and_holomorphic_forms_equal_a_rational_reference():
+    rng = random.Random(139)
+    for trial in range(9):
+        spec = random_two_step(
+            rng,
+            2 + trial % 3,
+            name="draw%d" % trial,
+            coefficient=lambda r: rand_gauss_over(r, (1, 2, 3)),
+        )
+        m = operator_matrix(spec, "delbar", 1, 0)
+        assert holomorphic_one_forms(spec) == [_vector_form(m.cols, v) for v in kernel_basis(m)]
+        for theory in THEORIES:
+            for p in range(spec.n + 1):
+                for q in range(spec.n + 1):
+                    got = class_representatives(spec, theory, p, q)
+                    assert got == _reference_representatives(spec, theory, p, q)
+                    assert len(got) == hodge_number(spec, theory, p, q)

@@ -95,7 +95,11 @@ def test_error_carries_position():
 
 def test_dimension_beyond_the_limit_is_refused_at_its_column():
     assert parse_structure_file("algebra x dim %d\n" % MAX_DIM).n == MAX_DIM
-    for text in ("algebra x dim %d\n" % (MAX_DIM + 1), "algebra x dim 200000  # comment\n"):
+    # leading zeros do not count towards the length
+    assert parse_structure_file("algebra x dim %s\n" % ("0" * 5000 + "2")).n == 2
+    too_big = ("algebra x dim %d\n" % (MAX_DIM + 1), "algebra x dim 200000  # comment\n")
+    # 5,000 digits, past int()'s own limit on digit strings, meet the same message
+    for text in too_big + ("algebra x dim %s\n" % ("7" * 5000),):
         with pytest.raises(StructureSyntaxError, match="exceeds the limit %d" % MAX_DIM) as err:
             parse_structure_file(text)
         assert (err.value.line, err.value.col) == (1, 15)

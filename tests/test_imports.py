@@ -1,6 +1,7 @@
 """Every module of the package uses each name it imports, imports only
-at module level, and uses no floating point; importing the command line
-loads none of the heavy introspection modules."""
+at module level, uses no floating point and leaves the rational kernel
+and span views to outside callers; importing the command line loads none
+of the heavy introspection modules."""
 
 import ast
 import os
@@ -113,6 +114,44 @@ def test_no_module_imports_a_name_it_never_uses():
         p.name: unused
         for p in modules
         if (unused := unused_imports(p.read_text(encoding="utf-8")))
+    }
+    assert found == {}
+
+
+RATIONAL_VIEWS = {"kernel_basis", "span_basis"}
+
+
+def rational_view_uses(source: str) -> list:
+    """Line numbers where ``source`` imports or reads an attribute named
+    ``kernel_basis`` or ``span_basis``."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if (
+            isinstance(node, ast.ImportFrom)
+            and any(alias.name in RATIONAL_VIEWS for alias in node.names)
+        )
+        or (isinstance(node, ast.Attribute) and node.attr in RATIONAL_VIEWS)
+    )
+
+
+def test_rational_view_uses_are_found():
+    source = (
+        "from .linalg import rank, kernel_basis\nfrom . import linalg\n"
+        "x = linalg.span_basis\nfrom .linalg import _kernel_vectors\n"
+    )
+    assert rational_view_uses(source) == [1, 3]
+
+
+def test_rational_views_stay_at_the_edge():
+    """The rational ``kernel_basis`` and ``span_basis`` are for callers
+    outside the package: inside it, only ``linalg`` defines them and the
+    package ``__init__`` re-exports them."""
+    found = {
+        p.name: lines
+        for p in sorted(PACKAGE.glob("*.py"))
+        if p.name not in ("linalg.py", "__init__.py")
+        and (lines := rational_view_uses(p.read_text(encoding="utf-8")))
     }
     assert found == {}
 

@@ -55,6 +55,16 @@ def ent(m, r, c):
     return m.entries[m.rows.index(r)][m.cols.index(c)]
 
 
+def nonzero_pairs(m: IndexedMatrix):
+    """Per row, the (column, Gaussian rational) pairs of the stored
+    nonzeros, in their stored order."""
+    den = m.denominator
+    return [
+        [(j, gr(Fraction(re, den), Fraction(im, den))) for j, re, im in row]
+        for row in m.int_rows()
+    ]
+
+
 def to_sympy(m: IndexedMatrix):
     out = sympy.zeros(m.nrows, m.ncols)
     for i in range(m.nrows):
@@ -127,7 +137,7 @@ def test_span_basis_idempotent_and_rank_sized():
     rng = random.Random(61)
     for _ in range(30):
         m = rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        cols = [m.column(j) for j in range(m.ncols)]
+        cols = list(zip(*m.entries))
         basis = span_basis(cols)
         assert len(basis) == rank(m)
         again = span_basis(list(basis))
@@ -165,7 +175,8 @@ def test_stacking_many_operands():
     assert v.rows == ("x", "y", "z") and ent(v, "z", "c1") == gr(5)
     h = hstack(v, v, v)
     assert h.ncols == 6 and ent(h, "y", "c0") == gr(3)
-    assert h.nonzeros()[1] == tuple((j, gr(3 + j % 2)) for j in range(6))
+    assert h.denominator == 1
+    assert h.int_rows()[1] == tuple((j, 3 + j % 2, 0) for j in range(6))
 
 
 def test_stacks_return_a_lone_nonempty_operand_itself():
@@ -262,11 +273,11 @@ def test_matmul_equals_dense_reference():
         assert [list(row) for row in prod.entries] == _dense_product(a, b)
         # the nonzeros a product, a stack or a join carries are those of its entries
         for m in (prod, vstack(prod, prod), hstack(a, a)):
-            assert [sorted(row) for row in m.nonzeros()] == _scanned_nonzeros(m)
+            assert [sorted(row) for row in nonzero_pairs(m)] == _scanned_nonzeros(m)
     # a product whose terms cancel holds no explicit zero among its nonzeros
     a = mat([[gr(1), gr(1)]], col_labels=["x", "y"])
     b = mat([[gr(2)], [gr(-2)]], row_labels=["x", "y"])
-    assert (a @ b).entries == ((gr(0),),) and (a @ b).nonzeros() == ((),)
+    assert (a @ b).entries == ((gr(0),),) and (a @ b).int_rows() == ((),)
 
 
 def _over(rng, nr, nc, den, density=0.5):
@@ -297,7 +308,7 @@ def test_product_and_stacks_over_different_denominators_equal_dense_reference():
         h = hstack(a, d)
         assert h.entries == tuple(x + y for x, y in zip(a.entries, d.entries))
         for m in (prod, v, h):
-            assert [sorted(row) for row in m.nonzeros()] == _scanned_nonzeros(m)
+            assert [sorted(row) for row in nonzero_pairs(m)] == _scanned_nonzeros(m)
             assert m.denominator % math.lcm(da, db) == 0
             assert rank(m) == to_sympy(m).rank()
 
@@ -322,27 +333,25 @@ def test_indexed_matrix_stores_nonzeros_of_dense_rows():
         m = IndexedMatrix(range(nr), range(nc), rows)
         assert (m.nrows, m.ncols) == (nr, nc)
         assert m.entries == tuple(tuple(row) for row in rows)
-        assert m.nonzeros() == tuple(
-            tuple((j, z) for j, z in enumerate(row) if z) for row in rows
-        )
-        for j in range(nc):
-            assert m.column(j) == tuple(row[j] for row in rows)
-        # equality reads the nonzeros, whatever order the pairs come in
-        shuffled = IndexedMatrix.from_nonzeros(
-            m.rows, m.cols, [rng.sample(row, len(row)) for row in m.nonzeros()]
+        assert nonzero_pairs(m) == [[(j, z) for j, z in enumerate(row) if z] for row in rows]
+        # equality reads the nonzeros, whatever order the triples come in
+        shuffled = IndexedMatrix.from_int_rows(
+            m.rows, m.cols, [tuple(rng.sample(row, len(row))) for row in m.int_rows()],
+            m.denominator,
         )
         assert shuffled == m and shuffled.entries == m.entries
-        for i, row in enumerate(shuffled.nonzeros()):
+        for i, row in enumerate(nonzero_pairs(shuffled)):
             for j, z in row:
-                assert shuffled.column(j)[i] == z
-        if any(m.nonzeros()):
+                assert shuffled.entries[i][j] == z
+        if any(m.int_rows()):
             i = next(i for i, row in enumerate(rows) if any(row))
             j = next(j for j, z in enumerate(rows[i]) if z)
             rows[i][j] = rows[i][j] + gr(1, 1)
             assert IndexedMatrix(range(nr), range(nc), rows) != m
-    # explicit zero pairs are dropped
-    m = IndexedMatrix.from_nonzeros(["r"], ["x", "y"], [[(1, gr(0)), (0, gr(2))]])
-    assert m.nonzeros() == (((0, gr(2)),),)
+    # explicit zeros are dropped
+    m = IndexedMatrix(["r"], ["x", "y"], [[gr(2), gr(0)]])
+    assert m.int_rows() == (((0, 2, 0),),)
+    assert m == IndexedMatrix.from_int_rows(["r"], ["x", "y"], [((0, 4, 0),)], 2)
     assert m == mat([[gr(2), gr(0)]], row_labels=["r"], col_labels=["x", "y"])
     assert m != mat([[gr(2), gr(0)]], row_labels=["r"], col_labels=["x", "z"])
     with pytest.raises(ValueError):
@@ -493,9 +502,15 @@ def test_sparse_rank_kernel_span_and_complement_equal_sympy():
 
 def split_columns(m, nb):
     """``(base, candidates)``: the first nb columns of m as a matrix over
-    m's row labels, and the remaining columns as vectors."""
+    m's row labels, and the remaining columns as Gaussian-integer vectors,
+    dicts row index -> (re, im) of m's integer rows."""
     base = IndexedMatrix(m.rows, m.cols[:nb], [row[:nb] for row in m.entries])
-    return base, [m.column(j) for j in range(nb, m.ncols)]
+    candidates = [{} for _ in range(nb, m.ncols)]
+    for i, row in enumerate(m.int_rows()):
+        for j, re, im in row:
+            if j >= nb:
+                candidates[j - nb][i] = (re, im)
+    return base, candidates
 
 
 def test_kernel_basis_vectors_equal_sympy_nullspace():
@@ -520,9 +535,10 @@ def test_greedy_complement_equals_sympy_rref_pivots():
         for nb in {0, rng.randint(0, m.ncols), m.ncols}:
             expected = [p - nb for p in pivots if p >= nb]
             assert greedy_complement(*split_columns(m, nb)) == expected
-    base, candidates = split_columns(m, 1)  # candidates one entry short
-    with pytest.raises(ValueError):
-        greedy_complement(base, [c[:-1] for c in candidates])
+    base, candidates = split_columns(m, 1)
+    for row in (-1, base.nrows):  # a candidate entry outside base's rows
+        with pytest.raises(ValueError, match="out of range"):
+            greedy_complement(base, candidates + [{0: (1, 0), row: (2, -1)}])
 
 
 def test_leading_minors_equal_sympy_determinants():
