@@ -477,7 +477,7 @@ def _split_top(s: str):
         elif ch in ")]":
             depth -= 1
             if depth < 0:
-                raise CatalogKeyError("unbalanced brackets in %r" % s)
+                raise CatalogKeyError("unbalanced brackets in %.60r" % s)
         if ch == "," and depth == 0:
             parts.append("".join(current))
             current = []
@@ -498,7 +498,7 @@ def _parse_matrix(text: str):
     for row in rows:
         row = row.strip()
         if not (row.startswith("[") and row.endswith("]")):
-            raise CatalogKeyError("matrix row %r must be bracketed" % row)
+            raise CatalogKeyError("matrix row %.60r must be bracketed" % row)
         out.append([parse_scalar(x) for x in _split_top(row[1:-1])])
     return out
 
@@ -512,7 +512,7 @@ def catalog_get(key: str) -> CatalogEntry:
     head, _, rest = key.partition("(")
     if not rest.endswith(")"):
         raise CatalogKeyError(
-            "unknown catalog key %r; named keys: %s" % (key, ", ".join(_NAMED))
+            "unknown catalog key %.60r; named keys: %s" % (key, ", ".join(_NAMED))
         )
     args = _split_top(rest[:-1])
     try:
@@ -548,9 +548,9 @@ def catalog_get(key: str) -> CatalogEntry:
     except CatalogKeyError:
         raise
     except (ValueError, IndexError) as exc:
-        raise CatalogKeyError("bad arguments in %r: %s" % (key, exc)) from None
+        raise CatalogKeyError("bad arguments in %.60r: %s" % (key, exc)) from None
     raise CatalogKeyError(
-        "unknown catalog key %r; named keys: %s" % (key, ", ".join(_NAMED))
+        "unknown catalog key %.60r; named keys: %s" % (key, ", ".join(_NAMED))
     )
 
 

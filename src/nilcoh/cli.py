@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .algebra import ValidationReport, direct_sum, jacobi_failures, validate
 from .catalog import CatalogKeyError, catalog_get, catalog_list, run_suite
@@ -27,7 +26,7 @@ from .reports import (
     spec_header,
     validation_json,
 )
-from .scalars import GaussianRational, parse_scalar
+from .scalars import GaussianRational, parse_rational, parse_scalar
 
 # each theory by its JSON key and by its own name, and the de Rham betti numbers
 _THEORY_ALIASES = {
@@ -57,12 +56,13 @@ def _read_hmatrix(path: str):
         H.append([])
         for j, cell in enumerate(row):
             try:
-                parts = (cell["re"], cell.get("im", "0"))
+                # a JSON integer or a string "p" or "p/q" as in structure files;
                 # a JSON float (or bool) is no exact scalar: 0.1 is not 1/10
-                if any(isinstance(x, (bool, float)) for x in parts):
-                    raise TypeError(cell)
-                H[-1].append(GaussianRational(*map(Fraction, parts)))
-            except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError):
+                parts = (cell["re"], cell.get("im", "0"))
+                H[-1].append(
+                    GaussianRational(*(x if type(x) is int else parse_rational(x) for x in parts))
+                )
+            except (KeyError, TypeError, ValueError, ZeroDivisionError):
                 raise ValueError(
                     '%s: H[%d][%d] is not a scalar {"re": p/q, "im": p/q}: %s'
                     % (path, i, j, json.dumps(cell))

@@ -30,7 +30,7 @@ Lie algebra is nilpotent, not that J is (Cordero-Fernandez-Gray-Ugarte).
 
 from __future__ import annotations
 
-from .algebra import AlgebraSpec, _basis_masks, differential_matrix, validate
+from .algebra import AlgebraSpec, _basis_masks, differential_matrix, jacobi_failures, validate
 from .forms import _mask_form, component_basis, degree_basis
 from .linalg import (
     IndexedMatrix,
@@ -145,7 +145,9 @@ def hodge_table(spec: AlgebraSpec, theory: str) -> HodgeTable:
 
 
 def derham_betti(spec: AlgebraSpec) -> list:
-    """Betti numbers b_0 .. b_{2n} of the total complex."""
+    """Betti numbers b_0 .. b_{2n} of the total complex (ValueError unless d.d = 0)."""
+    if jacobi_failures(spec):
+        raise ValueError("spec fails the Jacobi check; no cohomology defined")
     return [
         subquotient_dim(d_matrix(spec, k), d_matrix(spec, k - 1))
         for k in range(2 * spec.n + 1)

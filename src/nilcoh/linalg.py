@@ -16,14 +16,15 @@ rationals first scaled by the lcm of their denominators, which changes
 neither rank nor kernel), and runs Bareiss elimination over the Gaussian
 integers: every intermediate entry stays a minor of the integer matrix,
 so numerators and denominators do not grow through repeated gcd
-reduction, and a step costs the nonzeros of the rows it touches.  A
-forward pass gives ``greedy_complement`` and the determinants behind
-``MetricForm.leading_minors``.  The fraction-free Gauss-Jordan extension
-gives the reduced row echelon form, which is unique: the kernel vectors
-are read off it over Z[i] (``kernel_basis`` normalizes them, first
-nonzero coordinate 1), ``span_basis`` returns its nonzero rows and
-``nilpotency_filtration`` clears their denominators for each term of the
-lower central series.
+reduction, and a step costs the nonzeros of the rows with an entry in
+its pivot column: a row it skips is brought up to date when a later step
+reaches it.  A forward pass gives ``greedy_complement`` and the
+determinants behind ``MetricForm.leading_minors``.  The fraction-free
+Gauss-Jordan extension gives the reduced row echelon form, which is
+unique: the kernel vectors are read off it over Z[i] (``kernel_basis``
+normalizes them, first nonzero coordinate 1), ``span_basis`` returns its
+nonzero rows and ``nilpotency_filtration`` clears their denominators for
+each term of the lower central series.
 
 ``rank`` needs no vectors, so it first tries to certify the rank from two
 cheap bounds.  The lower bound is the rank of the integer rows mod one
@@ -287,21 +288,6 @@ def hstack(*ops: IndexedMatrix) -> IndexedMatrix:
 # fraction-free echelon form
 
 
-def _gi_mul(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _gi_div_exact(a, b):
-    """Exact division in Z[i]; the Bareiss update guarantees divisibility,
-    and we verify it rather than silently truncating."""
-    d = b[0] * b[0] + b[1] * b[1]
-    qr, rr = divmod(a[0] * b[0] + a[1] * b[1], d)
-    qi, ri = divmod(a[1] * b[0] - a[0] * b[1], d)
-    if rr or ri:
-        raise ArithmeticError("fraction-free elimination lost exactness")
-    return (qr, qi)
-
-
 def _dense_quotient(row, d, ncols):
     """The Q(i) vector row / d = row conj(d) / |d|^2, for a dict row of
     Gaussian integers."""
@@ -313,6 +299,30 @@ def _dense_quotient(row, d, ncols):
     return tuple(out)
 
 
+def _combine(p, row, f, prow, q):
+    """The dict row (p * row - f * prow) / q of Gaussian integers, zeros
+    dropped, in the column order of row and then prow.  The division is
+    exact where the result is a Bareiss row (its entries are minors); it
+    is checked, not truncated."""
+    pr, pi = p
+    fr, fi = f
+    qr, qi = q
+    qn = qr * qr + qi * qi
+    out = {}
+    for j in {**row, **prow}:
+        ar, ai = row.get(j, (0, 0))
+        br, bi = prow.get(j, (0, 0))
+        xr = pr * ar - pi * ai - fr * br + fi * bi
+        xi = pr * ai + pi * ar - fr * bi - fi * br
+        if xr or xi:
+            yr, rr = divmod(xr * qr + xi * qi, qn)
+            yi, ri = divmod(xi * qr - xr * qi, qn)
+            if rr or ri:
+                raise ArithmeticError("fraction-free elimination lost exactness")
+            out[j] = (yr, yi)
+    return out
+
+
 def _echelon(rows, ncols, reduced):
     """Fraction-free elimination of sparse Gaussian-integer rows,
     first-nonzero pivoting.
@@ -321,20 +331,25 @@ def _echelon(rows, ncols, reduced):
     ``(pivots, rows, last, sign)``: the pivot columns, the eliminated
     Gaussian-integer rows as dicts column -> (re, im) of their nonzeros
     (row k holds pivot k), the last pivot and the sign of the row
-    permutation.  The step with pivot p in column c, after previous pivot
-    ``prev``, replaces each row it reaches by (p * row - row[c] * pivot
-    row) / prev.  Every entry then stays a minor of the input (Sylvester's
-    identity), so the division is exact; a row with no entry in column c
-    is only rescaled by p / prev, on its nonzeros, and not at all when
-    p == prev.  The forward pass gives an echelon form whose last pivot
-    is, for a square nonsingular matrix, ``sign`` times its determinant.
-    With ``reduced`` the rows above each pivot are eliminated as well
-    (fraction-free Gauss-Jordan): every pivot entry ends equal to
-    ``last``, and row k divided by ``last`` is row k of the reduced row
+    permutation.  These are the rows of Bareiss elimination, whose step
+    with pivot p in column c, after previous pivot ``prev``, replaces each
+    other row by (p * row - row[c] * pivot row) / prev, exactly, as every
+    entry stays a minor of the input (Sylvester's identity).  A row with
+    no entry in column c is left alone instead of rescaled by p / prev: it
+    keeps ``scale[i]``, the pivot it was last divided by, and row i times
+    prev / scale[i] is its Bareiss row.  So a step makes each row it
+    reaches (p * row - row[c] * pivot row) / scale[i], with scale p, after
+    bringing the pivot row to row * prev / scale.  The forward pass gives
+    an echelon form whose last pivot is, for a square nonsingular matrix,
+    ``sign`` times its determinant.  With ``reduced`` the rows above each
+    pivot are eliminated as well (fraction-free Gauss-Jordan) and every
+    pivot row is finally brought to ``last``, so every pivot entry equals
+    ``last`` and row k divided by ``last`` is row k of the reduced row
     echelon form.
     """
     rows = [{j: (re, im) for j, re, im in row} for row in rows]
     nr = len(rows)
+    scale = [(1, 0)] * nr
     pivots = []
     prev = (1, 0)
     sign = 1
@@ -349,45 +364,24 @@ def _echelon(rows, ncols, reduced):
             continue
         if i != r:
             rows[r], rows[i] = rows[i], rows[r]
+            scale[r], scale[i] = scale[i], scale[r]
             sign = -sign
+        if scale[r] != prev:
+            rows[r] = _combine(prev, rows[r], (0, 0), {}, scale[r])
         prow = rows[r]
-        p = prow[c]
-        pr, pi = p
-        qr, qi = prev
-        qn = qr * qr + qi * qi
-        tail = [(j, x) for j, x in prow.items() if j != c]
+        p = scale[r] = prow[c]
         for i in range(0 if reduced else r + 1, nr):
-            if i == r:
-                continue
             row = rows[i]
-            fac = row.pop(c, None)
-            if p != prev:
-                # entries the pivot row leaves untouched are only rescaled
-                for j in row.keys() if fac is None else row.keys() - prow.keys():
-                    row[j] = _gi_div_exact(_gi_mul(p, row[j]), prev)
-            if fac is None:
-                continue
-            fr, fi = fac
-            for j, (br, bi) in tail:
-                a = row.get(j)
-                if a is None:
-                    xr = fi * bi - fr * br
-                    xi = -fr * bi - fi * br
-                else:
-                    ar, ai = a
-                    xr = pr * ar - pi * ai - fr * br + fi * bi
-                    xi = pr * ai + pi * ar - fr * bi - fi * br
-                if xr or xi:
-                    yr, rr = divmod(xr * qr + xi * qi, qn)
-                    yi, ri = divmod(xi * qr - xr * qi, qn)
-                    if rr or ri:
-                        raise ArithmeticError("fraction-free elimination lost exactness")
-                    row[j] = (yr, yi)
-                elif a is not None:
-                    del row[j]
+            if i != r and c in row:
+                rows[i] = _combine(p, row, row[c], prow, scale[i])
+                scale[i] = p
         pivots.append(c)
         prev = p
         r += 1
+    if reduced:
+        for k in range(r):
+            if scale[k] != prev:
+                rows[k] = _combine(prev, rows[k], (0, 0), {}, scale[k])
     return pivots, rows, prev, sign
 
 

@@ -233,13 +233,13 @@ def check_condition(spec: AlgebraSpec, m: MetricForm, cond: str) -> CheckResult:
         )
     name = cond.strip()
     if name.startswith("pluriclosed"):
-        sep = name[len("pluriclosed") :]
-        if not sep.startswith(":"):
-            raise ValueError("pluriclosed condition is written pluriclosed:K")
-        k = int(sep[1:])
-        if not 1 <= k <= spec.n:
-            raise ValueError("pluriclosed:K needs K in 1..%d, got %d" % (spec.n, k))
-        return _pluriclosed(spec, m, name, spec.n - k)
+        head, _, text = name.partition(":")
+        digits = text.lstrip("0")
+        # ASCII digits only, and no more of them than n has, before int()
+        short = text.isascii() and text.isdigit() and len(digits) <= len(str(spec.n))
+        if head != "pluriclosed" or not (short and 1 <= int(digits or "0") <= spec.n):
+            raise ValueError("pluriclosed:K needs K in 1..%d, in digits 0-9" % spec.n)
+        return _pluriclosed(spec, m, name, spec.n - int(digits))
     if name in ("ftpair", "ft_pair"):
         first = _pluriclosed(spec, m, "ft_pair", 1)
         return _pluriclosed(spec, m, "ft_pair", 2) if first.holds else first

@@ -154,6 +154,14 @@ def parse_scalar(text: str) -> GaussianRational:
         raise ValueError("zero denominator in scalar %r" % text) from None
 
 
+def parse_rational(text: str) -> Fraction:
+    """Parse ``<rat>`` of :func:`parse_scalar` alone: an optionally signed
+    integer or ``p/q`` in ASCII digits (ZeroDivisionError when q = 0)."""
+    if _re.fullmatch(_RAT, text, _re.ASCII) is None:
+        raise ValueError("malformed rational %r" % text)
+    return Fraction(text)
+
+
 def _scalar_from_match(m) -> GaussianRational:
     if m.group("re_only") is not None:
         return GaussianRational(Fraction(m.group("re_only")))

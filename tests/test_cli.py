@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: output shapes, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -161,15 +162,24 @@ def test_zero_denominator_coefficient_exits_two(tmp_path, capsys):
         {"H": [[{"re": 0.5}]]},
         {"H": [[{"re": True}]]},
         {"H": [[{"re": "1", "im": 1.5}]]},
+        # strings take the structure-file syntax p or p/q, nothing Fraction() reads
+        {"H": [[{"re": "1e10000000"}]]},
+        {"H": [[{"re": "0.5"}]]},
+        {"H": [[{"re": "1e3"}]]},
+        {"H": [[{"re": "1_000"}]]},
+        {"H": [[{"re": " 1"}]]},
+        {"H": [[{"re": "\u0662"}]]},
         '{"H": %s%s}' % ("[" * 1000, "]" * 1000),  # JSON text nested beyond json.load
     ],
 )
 def test_malformed_hmatrix_exits_two(files, capsys, tmp_path, payload):
     hpath = tmp_path / "H.json"
     hpath.write_text(payload if isinstance(payload, str) else json.dumps(payload), encoding="ascii")
+    start = time.perf_counter()
     code, out, err = run(
         capsys, ["metric", files["torus1"], "--hmatrix", str(hpath), "--check", "skt"]
     )
+    assert time.perf_counter() - start < 1.0
     assert code == 2
     assert out == ""
     assert str(hpath) in err
@@ -177,7 +187,9 @@ def test_malformed_hmatrix_exits_two(files, capsys, tmp_path, payload):
         assert "H[0][0]" in err
 
 
-@pytest.mark.parametrize("k", ["-3", "0", "4"])
+@pytest.mark.parametrize(
+    "k", ["-3", "0", "4", "\u0662", "0_2", "+2", " 2", "9" * 5000]
+)
 def test_pluriclosed_out_of_range_exits_two(files, capsys, k):
     code, out, err = run(
         capsys, ["metric", files["iwasawa"], "--check", "pluriclosed:" + k]

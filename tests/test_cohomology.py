@@ -65,6 +65,16 @@ def test_kodaira_numbers():
     assert derham_betti(ko) == [1, 3, 4, 3, 1]
 
 
+def test_jacobi_failing_spec_has_no_cohomology():
+    spec = parse_structure_file(
+        "algebra bad dim 2\nd a1 = (1) * a1 ^ a2\nd a2 = (1) * a1 ^ ~a1\n"
+    )
+    assert not validate(spec).jacobi_ok
+    for compute in (lambda: hodge_table(spec, "dolbeault"), lambda: derham_betti(spec)):
+        with pytest.raises(ValueError, match="fails the Jacobi check"):
+            compute()
+
+
 def test_tables_match_oracle():
     specs = [iwasawa_spec(), kodaira_spec(), nakamura_ce_spec()]
     for spec in specs:

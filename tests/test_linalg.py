@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 import nilcoh.linalg
-from nilcoh.algebra import differential_matrix
+from nilcoh.algebra import AlgebraSpec, differential_matrix, validate
 from nilcoh.catalog import exnilp_spec, ones_matrix
-from nilcoh.forms import degree_basis
+from nilcoh.cohomology import operator_matrix
+from nilcoh.forms import Form, alpha, alphabar, degree_basis
 from nilcoh.linalg import (
     ContainmentError,
     IndexedMatrix,
@@ -430,7 +431,8 @@ def from_sympy(x):
 
 def oracle_matrices():
     """Random matrices with mixed denominators, a zero column and a
-    dependent row, then one dense Gaussian-integer matrix."""
+    dependent row, then one dense Gaussian-integer matrix and the
+    staircases."""
     rng = random.Random(67)
     for _ in range(25):
         m = rand_matrix(
@@ -447,6 +449,46 @@ def oracle_matrices():
     yield mat(
         [[gr(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(8)] for _ in range(6)]
     )
+    yield from staircase_matrices()
+
+
+def staircase_matrices():
+    """Staircases with pivots that are not units, so the scale of a row
+    that a step skips falls behind the last pivot.
+
+    In the first, the step on column 0 reaches rows 3 and 4, the steps on
+    columns 1 and 2 skip them, row 3 then becomes the pivot row and the
+    step on column 3 reaches row 4; rows 1 and 2, skipped by the step on
+    column 0, become pivot rows; and in the reduced pass the step on
+    column 3 skips rows 0-2, which the step on column 4 reaches.  The
+    second takes the same rows in reverse order (row swaps).  Then seeded
+    random ones, shuffled: each row a non-unit on the diagonal and two
+    entries at least two columns away from it, some with one more row
+    that depends on two others."""
+    first = [
+        [gr(2), gr(0), gr(0), gr(0), gr(1)],
+        [gr(0), gr(3), gr(0), gr(0), gr(1, 1)],
+        [gr(0), gr(0), gr(1, 2), gr(0), gr(2)],
+        [gr(1), gr(0), gr(0), gr(5), gr(1)],
+        [gr(1), gr(0), gr(0), gr(1), gr(3)],
+    ]
+    yield mat(first)
+    yield mat(first[::-1])
+    rng = random.Random(83)
+    for n in (5, 6, 7, 8, 9, 10):
+        rows = []
+        for i in range(n):
+            row = [gr(0)] * n
+            row[i] = gr(rng.choice([2, 3, -2]), rng.choice([0, 1, -1]))
+            far = [j for j in range(n) if abs(j - i) >= 2]
+            for j in rng.sample(far, min(len(far), 2)):
+                row[j] = gr(rng.choice([1, -2, 3]), rng.choice([0, 2]))
+            rows.append(row)
+        if n % 2:
+            a, b = rng.sample(rows, 2)
+            rows.append([x + gr(1, 1) * y for x, y in zip(a, b)])
+        rng.shuffle(rows)
+        yield mat(rows)
 
 
 def sparse_matrices():
@@ -511,6 +553,96 @@ def split_columns(m, nb):
             if j >= nb:
                 candidates[j - nb][i] = (re, im)
     return base, candidates
+
+
+@pytest.mark.parametrize("reduced", [False, True], ids=["forward", "reduced"])
+def test_staircase_elimination_equals_sympy(reduced):
+    """Pivots, rank, sign * last and, reduced, the RREF rows where rows
+    skip steps and are brought up to date later."""
+    for m in staircase_matrices():
+        expected, pivots = sympy_rref(m)
+        got, rows, last, sign = nilcoh.linalg._echelon(m.int_rows(), m.ncols, reduced)
+        r = len(got)
+        assert got == list(pivots) and rank(m) == r
+        assert not any(rows[r:])
+        if reduced:
+            assert [nilcoh.linalg._dense_quotient(row, last, m.ncols) for row in rows[:r]] == [
+                tuple(from_sympy(expected[k, j]) for j in range(m.ncols)) for k in range(r)
+            ]
+        if m.nrows == m.ncols == r:
+            det = to_sympy(m).det() * m.denominator**r
+            assert gr(sign * last[0], sign * last[1]) == from_sympy(det)
+
+
+@pytest.mark.parametrize("reduced", [False, True], ids=["forward", "reduced"])
+def test_a_step_leaves_alone_the_rows_without_its_column(monkeypatch, reduced):
+    """Block-diagonal input, four dense 3 x 3 blocks with distinct
+    non-unit entries: a step combines only the rows of its own block.
+    Eager Bareiss would rescale every row of the later blocks at every
+    step; here each step reaches the rows below it in its block (forward)
+    or all the others of its block (reduced), each block's first pivot
+    row is brought up to the last pivot once, and the reduced pass finally
+    brings the rows of all but the last block to ``last``."""
+    blocks, b = 4, 3
+    rng = random.Random(89)
+    rows = []
+    for k in range(blocks):
+        for _ in range(b):
+            rows.append(tuple((k * b + j, rng.randint(2, 9), rng.randint(-9, 9)) for j in range(b)))
+    combined = []
+    real = nilcoh.linalg._combine
+
+    def spy(p, row, f, prow, q):
+        combined.append({j // b for j in row})
+        return real(p, row, f, prow, q)
+
+    monkeypatch.setattr(nilcoh.linalg, "_combine", spy)
+    pivots = nilcoh.linalg._echelon(rows, blocks * b, reduced)[0]
+    assert pivots == list(range(blocks * b))
+    assert all(len(touched) == 1 for touched in combined)
+    reached = blocks * b * (b - 1) // (1 if reduced else 2)
+    final = (blocks - 1) * b if reduced else 0
+    assert len(combined) == reached + (blocks - 1) + final
+
+
+def test_forward_rank_and_kernel_vectors_on_n6_fixed_core_operators():
+    """n = 6 with a closed core of three generators and three bracket
+    terms on each other generator: on every del, delbar and del delbar
+    matrix the exact forward pass gives the certified rank wherever the
+    mod-p and structural bounds meet, and every kernel vector is killed
+    by its matrix in exact arithmetic."""
+    rng = random.Random(97)
+    core = 3
+    monomials = [alpha(a) ^ alpha(b) for a in range(1, core + 1) for b in range(a + 1, core + 1)]
+    monomials += [alpha(a) ^ alphabar(b) for a in range(1, core + 1) for b in range(1, core + 1)]
+    diffs = [Form()] * core
+    for _ in range(core, 6):
+        coeffs = [gr(rng.choice([-2, -1, 1, 2]), rng.choice([-2, -1, 1, 2])) for _ in range(3)]
+        diffs.append(sum((c * x for c, x in zip(coeffs, rng.sample(monomials, 3))), Form()))
+    spec = AlgebraSpec("fixed_core", 6, diffs)
+    assert validate(spec).jacobi_ok
+    met = 0
+    for op in ("del", "delbar", "deldelbar"):
+        for p in range(7):
+            for q in range(7):
+                m = operator_matrix(spec, op, p, q)
+                rows = m.int_rows()
+                forward = len(nilcoh.linalg._echelon(rows, m.ncols, False)[0])
+                if nilcoh.linalg._rank_mod_p(rows, m.ncols) == nilcoh.linalg._structural_rank(rows):
+                    met += 1
+                    assert forward == rank(m)
+                vectors = nilcoh.linalg._kernel_vectors(m)
+                assert len(vectors) == m.ncols - forward
+                for vec in vectors:
+                    for row in rows:
+                        image = [0, 0]
+                        for j, re, im in row:
+                            x = vec.get(j)
+                            if x is not None:
+                                image[0] += re * x[0] - im * x[1]
+                                image[1] += re * x[1] + im * x[0]
+                        assert image == [0, 0]
+    assert met > 100
 
 
 def test_kernel_basis_vectors_equal_sympy_nullspace():
