@@ -18,6 +18,8 @@ the factor's position k, both read off with ``int.bit_count``.  That one
 routine, :func:`_d_terms`, applies d, del and delbar to Gaussian-integer
 combinations: it builds the operator matrices of :func:`differential_matrix`,
 and the Forms that d, del and delbar return are built from its final result.
+The bases of those matrices are tuples of masks, which label their rows
+and columns, so building one makes no :class:`~nilcoh.forms.BasisForm`.
 
 The Jacobi identity of the dual Lie algebra is exactly ``d . d = 0``, and
 on an anti-derivation that only needs checking on generators.
@@ -33,7 +35,6 @@ the series: the bidegree check of :class:`AlgebraSpec` enforces it.
 from __future__ import annotations
 
 import math
-from functools import cache
 
 from .forms import BasisForm, Form, _mask_form, _mask_indices
 from .linalg import IndexedMatrix, _echelon, _integer_rows
@@ -149,11 +150,6 @@ def _mask(n: int, bf: BasisForm) -> int:
     """The monomial as a bitmask: a_j is bit j - 1 and ~a_j bit n + j - 1,
     so the canonical factor order is the order of the bits."""
     return sum(1 << (j - 1) for j in bf.holo) + sum(1 << (n + j - 1) for j in bf.anti)
-
-
-@cache
-def _basis_masks(n: int, basis) -> tuple:
-    return tuple(_mask(n, bf) for bf in basis)
 
 
 def _term_tables(spec: AlgebraSpec):
@@ -274,17 +270,17 @@ def deldelbar(spec: AlgebraSpec, x: Form) -> Form:
 
 def differential_matrix(spec: AlgebraSpec, domain, codomain, dp=None) -> IndexedMatrix:
     """Matrix of d, or with dp = 1 (dp = 0) of del (delbar), from the span
-    of the ``domain`` monomials to the span of the ``codomain`` monomials:
-    the terms of each domain monomial's image that lie in the codomain, as
-    Gaussian integers over the term table's L.  A codomain of one bidegree
-    (p+1, q) with dp = 1 gives del, (p, q+1) with dp = 0 gives delbar, and
-    one of one total degree with dp = None gives d."""
-    n = spec.n
+    of the ``domain`` monomial masks to the span of the ``codomain`` ones,
+    which label its columns and rows: the terms of each domain monomial's
+    image that lie in the codomain, as Gaussian integers over the term
+    table's L.  A codomain of one bidegree (p+1, q) with dp = 1 gives del,
+    (p, q+1) with dp = 0 gives delbar, and one of one total degree with
+    dp = None gives d."""
     den, tables = _term_tables(spec)
     table = tables[dp]
-    index = {w: i for i, w in enumerate(_basis_masks(n, codomain))}
+    index = {w: i for i, w in enumerate(codomain)}
     rows = [[] for _ in codomain]
-    for col, m in enumerate(_basis_masks(n, domain)):
+    for col, m in enumerate(domain):
         for w, (re, im) in _d_terms(table, {m: (1, 0)}).items():
             i = index.get(w)
             if i is not None:

@@ -26,7 +26,7 @@ from .reports import (
     spec_header,
     validation_json,
 )
-from .scalars import GaussianRational, parse_rational, parse_scalar
+from .scalars import GaussianRational, parse_rational
 
 # each theory by its JSON key and by its own name, and the de Rham betti numbers
 _THEORY_ALIASES = {
@@ -62,7 +62,7 @@ def _read_hmatrix(path: str):
                 H[-1].append(
                     GaussianRational(*(x if type(x) is int else parse_rational(x) for x in parts))
                 )
-            except (KeyError, TypeError, ValueError, ZeroDivisionError):
+            except (KeyError, TypeError, ValueError):
                 raise ValueError(
                     '%s: H[%d][%d] is not a scalar {"re": p/q, "im": p/q}: %s'
                     % (path, i, j, json.dumps(cell))
@@ -74,13 +74,8 @@ def _metric_from_args(args, n: int) -> MetricForm:
     if getattr(args, "hmatrix", None):
         return build_metric(n, _read_hmatrix(args.hmatrix))
     if getattr(args, "diag", None):
-        entries = [parse_scalar(part) for part in args.diag.split(",")]
-        values = []
-        for s in entries:
-            if s.im != 0:
-                raise ValueError("--diag entries must be real, got %s" % s)
-            values.append(s.re)
-        return diagonal_metric(n, values)
+        # the grammar of --hmatrix cells, ASCII p or p/q, so both metric inputs agree
+        return diagonal_metric(n, [parse_rational(part) for part in args.diag.split(",")])
     return diagonal_metric(n)
 
 

@@ -14,10 +14,13 @@ stacked into its kernel and the operators joined into its image:
 * de Rham          ker(d on degree k)            / d (degree k-1)
 
 The del and delbar matrices out of each (p,q), and the d matrix on each
-degree, are built by :func:`nilcoh.algebra.differential_matrix`; del.delbar
-is the product of the two cached factors.  Each operator matrix, and each
-theory's (kernel, image) pair, is built once per spec and keeps its rank
-once computed.
+degree, are built by :func:`nilcoh.algebra.differential_matrix` between the
+cached monomial bitmask bases of :func:`nilcoh.forms.component_masks` and
+:func:`nilcoh.forms.degree_masks`, which label their rows and columns;
+del.delbar is the product of the two cached factors.  Each operator matrix,
+and each theory's (kernel, image) pair, is built once per spec and keeps
+its rank once computed.  Class representatives read their masks off the
+column labels; a BasisForm is built only when they become Forms.
 
 Each hodge table carries a validity flag: ``nilpotent_J`` when the
 nilpotency filtration closes at the full degree-one space (for those specs
@@ -30,8 +33,8 @@ Lie algebra is nilpotent, not that J is (Cordero-Fernandez-Gray-Ugarte).
 
 from __future__ import annotations
 
-from .algebra import AlgebraSpec, _basis_masks, differential_matrix, jacobi_failures, validate
-from .forms import _mask_form, component_basis, degree_basis
+from .algebra import AlgebraSpec, differential_matrix, jacobi_failures, validate
+from .forms import _mask_form, component_masks, degree_masks
 from .linalg import (
     IndexedMatrix,
     _kernel_vectors,
@@ -74,9 +77,9 @@ def operator_matrix(spec: AlgebraSpec, op: str, p: int, q: int) -> IndexedMatrix
         return cached
     n = spec.n
     if op == "del":
-        out = differential_matrix(spec, component_basis(n, p, q), component_basis(n, p + 1, q), 1)
+        out = differential_matrix(spec, component_masks(n, p, q), component_masks(n, p + 1, q), 1)
     elif op == "delbar":
-        out = differential_matrix(spec, component_basis(n, p, q), component_basis(n, p, q + 1), 0)
+        out = differential_matrix(spec, component_masks(n, p, q), component_masks(n, p, q + 1), 0)
     elif op == "deldelbar":
         out = operator_matrix(spec, "del", p, q + 1) @ operator_matrix(spec, "delbar", p, q)
     else:
@@ -92,7 +95,7 @@ def d_matrix(spec: AlgebraSpec, k: int) -> IndexedMatrix:
     cached = cache.get(key)
     if cached is not None:
         return cached
-    out = differential_matrix(spec, degree_basis(spec.n, k), degree_basis(spec.n, k + 1))
+    out = differential_matrix(spec, degree_masks(spec.n, k), degree_masks(spec.n, k + 1))
     cache[key] = out
     return out
 
@@ -155,13 +158,12 @@ def derham_betti(spec: AlgebraSpec) -> list:
 
 
 def _vector_forms(spec: AlgebraSpec, cols, vectors):
-    """The Forms of Gaussian-integer vectors over the monomials ``cols``,
-    each divided by its first nonzero entry l as x conj(l) / |l|^2."""
-    masks = _basis_masks(spec.n, cols)
+    """The Forms of Gaussian-integer vectors over the monomial masks
+    ``cols``, each divided by its first nonzero entry l as x conj(l) / |l|^2."""
     out = []
     for vec in vectors:
         lr, li = vec[min(vec)]
-        terms = {masks[j]: (re * lr + im * li, im * lr - re * li) for j, (re, im) in vec.items()}
+        terms = {cols[j]: (re * lr + im * li, im * lr - re * li) for j, (re, im) in vec.items()}
         out.append(_mask_form(spec.n, terms, lr * lr + li * li))
     return out
 

@@ -129,7 +129,7 @@ def _parse_term(sc: _LineScanner, n: int):
         coeff = parse_scalar(raw)
     except ValueError:
         raise StructureSyntaxError(
-            "malformed scalar %r" % raw.strip(), sc.lineno, sc.pos + 1
+            "malformed scalar %.60r" % raw.strip(), sc.lineno, sc.pos + 1
         ) from None
     sc.pos = close + 1
     sc.expect("*")

@@ -9,6 +9,12 @@ Its constructor is the one place that sums the coefficients of repeated
 monomials and drops zero ones: sum, negation, scalar multiple, wedge and
 conjugation each list their (monomial, coefficient) pairs and pass them to it.
 
+A monomial is also a bitmask, a_j bit j - 1 and ~a_j bit n + j - 1, so the
+canonical factor order is the order of the bits.  The bases of the
+operator matrices are tuples of masks (:func:`component_masks`,
+:func:`degree_masks`), and :func:`_mask_form` is the one place a mask
+combination becomes a Form of BasisForms.
+
 Sign conventions (fixed once, used everywhere):
 
 * wedge concatenates factor words and sorts back to canonical order with
@@ -126,25 +132,22 @@ def _mask_indices(mask):
 
 
 @cache
-def component_basis(n: int, p: int, q: int):
-    """Canonical ordered basis of the (p,q) component (lex on (S,T)); empty
-    outside 0 <= p, q <= n."""
+def component_masks(n: int, p: int, q: int) -> tuple:
+    """Canonical ordered basis of the (p,q) component as bitmasks (a_j is
+    bit j - 1, ~a_j bit n + j - 1), lex on (S,T); empty outside
+    0 <= p, q <= n."""
     if p < 0 or q < 0 or p > n or q > n:
         return ()
-    return tuple(
-        BasisForm(holo, anti)
-        for holo in combinations(range(1, n + 1), p)
-        for anti in combinations(range(1, n + 1), q)
-    )
+    holo = [sum(1 << j for j in s) for s in combinations(range(n), p)]
+    anti = [sum(1 << (n + j) for j in t) for t in combinations(range(n), q)]
+    return tuple(h | a for h in holo for a in anti)
 
 
 @cache
-def degree_basis(n: int, k: int):
-    """Canonical ordered basis of the total degree-k space, by ascending p."""
-    out = []
-    for p in range(0, k + 1):
-        out.extend(component_basis(n, p, k - p))
-    return tuple(out)
+def degree_masks(n: int, k: int) -> tuple:
+    """Canonical ordered basis of the total degree-k space as bitmasks, by
+    ascending p."""
+    return sum((component_masks(n, p, k - p) for p in range(k + 1)), ())
 
 
 def wedge_basis(x: BasisForm, y: BasisForm):

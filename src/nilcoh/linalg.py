@@ -84,8 +84,9 @@ class ContainmentError(Exception):
 
 
 class IndexedMatrix:
-    """A matrix whose rows and columns are labelled by basis data, stored
-    as its nonzeros over Z[i] and one denominator.
+    """A matrix with labelled rows and columns (an operator matrix is
+    labelled by the monomial bitmasks of its bases), stored as its
+    nonzeros over Z[i] and one denominator.
 
     ``int_rows()[i]`` holds the (column index, re, im) triples of the
     nonzero entries of row ``rows[i]``, and ``denominator`` is a positive

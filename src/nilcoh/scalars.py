@@ -147,19 +147,22 @@ def parse_scalar(text: str) -> GaussianRational:
     optionally signed integer or ``p/q`` with q nonzero."""
     m = _SCALAR_RE.match(text)
     if m is None:
-        raise ValueError("malformed scalar %r" % text)
+        raise ValueError("malformed scalar %.60r" % text)
     try:
         return _scalar_from_match(m)
     except ZeroDivisionError:
-        raise ValueError("zero denominator in scalar %r" % text) from None
+        raise ValueError("zero denominator in scalar %.60r" % text) from None
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse ``<rat>`` of :func:`parse_scalar` alone: an optionally signed
-    integer or ``p/q`` in ASCII digits (ZeroDivisionError when q = 0)."""
+    integer or ``p/q`` in ASCII digits, q nonzero."""
     if _re.fullmatch(_RAT, text, _re.ASCII) is None:
-        raise ValueError("malformed rational %r" % text)
-    return Fraction(text)
+        raise ValueError("malformed rational %.60r" % text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in rational %.60r" % text) from None
 
 
 def _scalar_from_match(m) -> GaussianRational:

@@ -16,8 +16,14 @@ from fractions import Fraction
 
 from nilcoh.algebra import AlgebraSpec
 from nilcoh.catalog import exnilp_spec, fps_spec
-from nilcoh.forms import Form, alpha, alphabar
+from nilcoh.forms import BasisForm, Form, _mask_indices, alpha, alphabar
 from nilcoh.scalars import GaussianRational
+
+
+def basis_forms(n, masks):
+    """The BasisForms of monomial masks (a_j is bit j - 1, ~a_j bit
+    n + j - 1), in the order of ``masks``."""
+    return [BasisForm(_mask_indices(w & ((1 << n) - 1)), _mask_indices(w >> n)) for w in masks]
 
 
 def rand_gauss(rng, span=2):

@@ -23,10 +23,10 @@ from nilcoh.catalog import (
     nakamura_ce_spec,
     torus_spec,
 )
-from nilcoh.forms import Form, alpha, alphabar, component_basis, conjugate
+from nilcoh.forms import Form, alpha, alphabar, component_masks, conjugate
 from nilcoh.scalars import GaussianRational
 
-from generators import rand_rational, random_layered, random_two_step, rational_specs
+from generators import basis_forms, rand_rational, random_layered, random_two_step, rational_specs
 from oracle import OracleAlgebra, form_to_mv, mv_equal, scalar_to_sympy
 from test_forms import rand_form
 
@@ -150,7 +150,7 @@ def test_del_and_delbar_match_oracle():
         oracle = OracleAlgebra.from_spec(spec, scalar_to_sympy)
         forms = [rand_form(rng, spec.n) for _ in range(4)]
         forms += [
-            Form({bf: rand_rational(rng) for bf in component_basis(spec.n, p, q)})
+            Form({bf: rand_rational(rng) for bf in basis_forms(spec.n, component_masks(spec.n, p, q))})
             for p, q in ((1, 1), (2, 1))
         ]
         for f in forms:

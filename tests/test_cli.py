@@ -144,6 +144,38 @@ def test_metric_bad_diag_exits_two(files, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("diag", ["1,1+0i,1", " 1,1,1", "1,1, 1", "0.5,1,1", "1,1/0,1"])
+def test_diag_entries_take_the_hmatrix_grammar(files, capsys, diag):
+    # --diag entries are read as --hmatrix cells are: ASCII p or p/q only
+    code, out, err = run(capsys, ["metric", files["iwasawa"], "--diag", diag, "--check", "skt"])
+    assert (code, out) == (2, "") and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("diag", ["1,2,1", "1/2,1,1", "2/4,01,+1"])
+def test_diag_of_ascii_rationals_is_read(files, capsys, diag):
+    argv = ["metric", files["iwasawa"], "--diag", diag, "--check", "gauduchon"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and json.loads(out)["verdicts"]["metric"]["positive"] is True
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["catalog", "show", "fps_skt(1,2,3,4,%s)" % ("x" * 5000)], ""),
+        (["validate", "FILE"], "algebra long dim 2\nd a2 = (1%s) * a1 ^ ~a1\n" % ("x" * 5000)),
+        (["validate", "FILE"], "algebra long dim 2\nd a2 = (%s) * a1 ^ ~a1\n" % ("7" * 5000)),
+        (["metric", "FILE", "--diag", "1x" + "0" * 5000, "--check", "skt"], "algebra long dim 1\n"),
+    ],
+    ids=["catalog-key", "structure-file", "structure-file-digits", "diag"],
+)
+def test_a_long_scalar_is_quoted_short(tmp_path, capsys, argv, text):
+    path = tmp_path / "long.alg"
+    path.write_text(text, encoding="ascii")
+    code, out, err = run(capsys, [str(path) if a == "FILE" else a for a in argv])
+    assert (code, out) == (2, "")
+    assert 0 < len(err.encode()) < 300
+
+
 def test_zero_denominator_coefficient_exits_two(tmp_path, capsys):
     path = tmp_path / "zero.alg"
     path.write_text("algebra zero dim 2\nd a2 = (1/0) * a1 ^ ~a1\n", encoding="ascii")

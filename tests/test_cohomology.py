@@ -29,13 +29,13 @@ from nilcoh.cohomology import (
     operator_matrix,
 )
 from nilcoh.dsl import parse_structure_file
-from nilcoh.forms import Form, alpha, alphabar, component_basis, degree_basis
+from nilcoh.forms import BasisForm, Form, alpha, alphabar, component_masks, degree_masks
 from nilcoh.linalg import IndexedMatrix, hstack, kernel_basis, rank, vstack
 from nilcoh.obstructions import holomorphic_one_forms
 from nilcoh.scalars import GaussianRational
 
 from oracle import OracleAlgebra, scalar_to_sympy
-from generators import rand_gauss_over, random_two_step
+from generators import basis_forms, rand_gauss_over, random_two_step
 from test_algebra import rand_valid_spec
 
 
@@ -242,13 +242,15 @@ def test_natural_map_rank_raises_on_negative_kernel(monkeypatch):
 
 
 def _columnwise(fn, spec, domain, codomain):
-    """The matrix whose column j is fn applied to domain[j], every term of
-    which must lie in the codomain."""
-    images = [fn(spec, Form({bf: 1})) for bf in domain]
-    placed = set(codomain)
+    """The matrix whose column j is fn applied to the monomial of mask
+    domain[j], every term of which must lie in the codomain; the masks
+    label its columns and rows."""
+    images = [fn(spec, Form({bf: 1})) for bf in basis_forms(spec.n, domain)]
+    targets = basis_forms(spec.n, codomain)
+    placed = set(targets)
     assert all(bf in placed for image in images for bf, _ in image.terms())
     return IndexedMatrix(
-        codomain, domain, [[image.coefficient(bf) for image in images] for bf in codomain]
+        codomain, domain, [[image.coefficient(bf) for image in images] for bf in targets]
     )
 
 
@@ -258,13 +260,15 @@ def _assert_operators_equal_columnwise_images(spec):
     for op, (fn, dp, dq) in shifts.items():
         for p in range(-1, n + 1):
             for q in range(-1, n + 1):
-                expected = _columnwise(
-                    fn, spec, component_basis(n, p, q), component_basis(n, p + dp, q + dq)
-                )
-                assert operator_matrix(spec, op, p, q) == expected
+                domain, codomain = component_masks(n, p, q), component_masks(n, p + dp, q + dq)
+                m = operator_matrix(spec, op, p, q)
+                assert m == _columnwise(fn, spec, domain, codomain)
+                assert m.cols is domain and m.rows is codomain
     for k in range(-1, 2 * n + 1):
-        expected = _columnwise(d, spec, degree_basis(n, k), degree_basis(n, k + 1))
-        assert d_matrix(spec, k) == expected
+        domain, codomain = degree_masks(n, k), degree_masks(n, k + 1)
+        m = d_matrix(spec, k)
+        assert m == _columnwise(d, spec, domain, codomain)
+        assert m.cols is domain and m.rows is codomain
 
 
 def test_operator_matrices_equal_columnwise_images():
@@ -296,6 +300,39 @@ def test_operator_matrices_over_denominators_equal_columnwise_images():
             for q in range(n + 1)
         )
     assert all(any(L % prime == 0 for L in seen) for prime in (2, 3, 5))
+
+
+def test_operator_assembly_builds_no_basis_form(monkeypatch):
+    """Bases and matrix labels are masks: once the Jacobi check has built
+    the term table, no operator matrix, d matrix or theory pair of an
+    n = 4 spec constructs a BasisForm."""
+    spec = parse_structure_file(
+        "algebra guard dim 4\n"
+        "d a3 = (1) * a1 ^ a2 + (1/2-i) * a1 ^ ~a2\n"
+        "d a4 = (2) * a1 ^ a3 + (i) * a2 ^ ~a1\n"
+    )
+    assert validate(spec).jacobi_ok
+    built = []
+    real = BasisForm.__init__
+
+    def spy(self, *args):
+        built.append(args)
+        real(self, *args)
+
+    monkeypatch.setattr(BasisForm, "__init__", spy)
+    n = spec.n
+    for p in range(-1, n + 2):
+        for q in range(-1, n + 2):
+            for op in ("del", "delbar", "deldelbar"):
+                operator_matrix(spec, op, p, q)
+            for theory in THEORIES:
+                _theory_operators(spec, theory, p, q)
+    for k in range(-1, 2 * n + 2):
+        d_matrix(spec, k)
+    assert built == []
+    assert spec._caches["matrices"]
+    BasisForm((1,), (2,))
+    assert built == [((1,), (2,))]
 
 
 def test_n6_spots_match_oracle():
@@ -379,7 +416,7 @@ def test_each_group_is_one_cached_pair(monkeypatch):
     natural_map_rank(spec, p, q)
     closed, exact = _theory_operators(spec, "bott_chern", p, q)
     join = _theory_operators(spec, "aeppli", p, q)[1]
-    assert join.ncols == len(component_basis(3, 0, 1)) + len(component_basis(3, 1, 0))
+    assert join.cols == component_masks(3, 0, 1) + component_masks(3, 1, 0)
     assert any(join.int_rows())
     kernel_arg, image_arg = calls["subquotient_dim"][-1]
     assert kernel_arg is closed and image_arg is exact
@@ -411,8 +448,8 @@ def test_natural_map_rank_equals_joint_operator_reference():
                 assert natural_map_rank(spec, p, q) == h_bc - kernel_dim
 
 
-def _vector_form(cols, vec):
-    return Form({bf: c for bf, c in zip(cols, vec) if c})
+def _vector_form(n, cols, vec):
+    return Form({bf: c for bf, c in zip(basis_forms(n, cols), vec) if c})
 
 
 def _reference_representatives(spec, theory, p, q):
@@ -432,7 +469,7 @@ def _reference_representatives(spec, theory, p, q):
     shape = (image.nrows, image.ncols + len(vectors))
     pivots = DomainMatrix(joined, shape, QQ_I).rref()[1]
     chosen = [j - image.ncols for j in pivots if j >= image.ncols]
-    return [_vector_form(kernel_of.cols, vectors[k]) for k in chosen]
+    return [_vector_form(spec.n, kernel_of.cols, vectors[k]) for k in chosen]
 
 
 def test_representatives_and_holomorphic_forms_equal_a_rational_reference():
@@ -445,7 +482,9 @@ def test_representatives_and_holomorphic_forms_equal_a_rational_reference():
             coefficient=lambda r: rand_gauss_over(r, (1, 2, 3)),
         )
         m = operator_matrix(spec, "delbar", 1, 0)
-        assert holomorphic_one_forms(spec) == [_vector_form(m.cols, v) for v in kernel_basis(m)]
+        assert holomorphic_one_forms(spec) == [
+            _vector_form(spec.n, m.cols, v) for v in kernel_basis(m)
+        ]
         for theory in THEORIES:
             for p in range(spec.n + 1):
                 for q in range(spec.n + 1):

@@ -2,12 +2,24 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from nilcoh.forms import BasisForm, Form, alpha, alphabar, conjugate, wedge
+from nilcoh.algebra import _mask
+from nilcoh.forms import (
+    BasisForm,
+    Form,
+    alpha,
+    alphabar,
+    component_masks,
+    conjugate,
+    degree_masks,
+    wedge,
+)
 from nilcoh.scalars import GaussianRational
 
+from generators import basis_forms
 from oracle import form_to_mv, mv_add, mv_conj, mv_equal, mv_wedge
 
 
@@ -155,3 +167,27 @@ def test_every_operation_drops_cancelled_terms():
     x = GaussianRational(3) * (alpha(1) ^ alphabar(1))
     assert len(x + conjugate(x)) == 0
 
+
+def _canonical_basis(n, p, q):
+    """The (p,q) monomials by definition: lex on (S, T), empty outside
+    0 <= p, q <= n."""
+    if not (0 <= p <= n and 0 <= q <= n):
+        return []
+    indices = range(1, n + 1)
+    return [BasisForm(s, t) for s in combinations(indices, p) for t in combinations(indices, q)]
+
+
+def test_mask_bases_equal_the_canonical_basis_forms_in_order():
+    """The column order of every operator matrix: each (p,q) basis is the
+    canonical BasisForm enumeration, and each degree-k basis their
+    concatenation by ascending p, as masks in the same order."""
+    for n in range(1, 7):
+        for p in range(-1, n + 2):
+            for q in range(-1, n + 2):
+                expected = _canonical_basis(n, p, q)
+                masks = component_masks(n, p, q)
+                assert masks == tuple(_mask(n, bf) for bf in expected)
+                assert basis_forms(n, masks) == expected
+        for k in range(-1, 2 * n + 2):
+            expected = [bf for p in range(k + 1) for bf in _canonical_basis(n, p, k - p)]
+            assert degree_masks(n, k) == tuple(_mask(n, bf) for bf in expected)

@@ -14,7 +14,7 @@ import nilcoh.linalg
 from nilcoh.algebra import AlgebraSpec, differential_matrix, validate
 from nilcoh.catalog import exnilp_spec, ones_matrix
 from nilcoh.cohomology import operator_matrix
-from nilcoh.forms import Form, alpha, alphabar, degree_basis
+from nilcoh.forms import Form, alpha, alphabar, degree_masks
 from nilcoh.linalg import (
     ContainmentError,
     IndexedMatrix,
@@ -891,7 +891,7 @@ def test_rank_takes_the_packed_kernel_only_on_dense_matrices(monkeypatch):
     assert rank(dense) == sympy_rank(dense)
     assert kernels == ["_packed_rank_mod_p"]
     spec = exnilp_spec(3, 0, ones_matrix(2))
-    sparse = differential_matrix(spec, degree_basis(3, 2), degree_basis(3, 3))
+    sparse = differential_matrix(spec, degree_masks(3, 2), degree_masks(3, 3))
     nnz = sum(map(len, sparse.int_rows()))
     assert 0 < 4 * nnz < sparse.nrows * sparse.ncols
     assert rank(sparse) == sympy_rank(sparse)
