@@ -1,16 +1,25 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 a verdict-style check failed (structure invalid,
-metric condition fails, obstruction excludes, suite mismatch), 2 usage or
-parse errors.  Output is deterministic JSON on stdout by default; --pretty
-switches the table and catalog commands to aligned text.
+:func:`main` returns an exit code for every input and raises no
+``SystemExit``: 0 success, 1 a verdict-style check failed (structure
+invalid, metric condition fails, obstruction excludes, suite mismatch), 2 a
+usage or parse error, with ``usage: ...`` and one error line on stderr for
+a malformed command line.  Output is deterministic JSON on stdout by
+default; --pretty switches the table and catalog commands to aligned text.
+
+One table, ``_COMMANDS``, lists each command's handler, summary, positional
+names and options, and ``_parse`` reads a command line against it.  An
+option is spelled in full as ``--name VALUE`` or ``--name=VALUE``, or
+``-o VALUE`` for ``product``; its value is the next token even when that
+starts with "-".  ``--`` ends the options, and ``-h``/``--help`` prints the
+usage text generated from the table.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 
 from .algebra import ValidationReport, direct_sum, jacobi_failures, validate
 from .catalog import CatalogKeyError, catalog_get, catalog_list, run_suite
@@ -71,9 +80,11 @@ def _read_hmatrix(path: str):
 
 
 def _metric_from_args(args, n: int) -> MetricForm:
-    if getattr(args, "hmatrix", None):
+    if args.hmatrix is not None:
+        if args.diag is not None:
+            raise ValueError("--diag and --hmatrix exclude each other")
         return build_metric(n, _read_hmatrix(args.hmatrix))
-    if getattr(args, "diag", None):
+    if args.diag is not None:
         # the grammar of --hmatrix cells, ASCII p or p/q, so both metric inputs agree
         return diagonal_metric(n, [parse_rational(part) for part in args.diag.split(",")])
     return diagonal_metric(n)
@@ -162,7 +173,7 @@ def _cmd_metric(args) -> int:
 def _cmd_obstruct(args) -> int:
     spec = read_structure_file(args.file)
     metric = None
-    if getattr(args, "diag", None) or getattr(args, "hmatrix", None):
+    if args.diag is not None or args.hmatrix is not None:
         metric = _metric_from_args(args, spec.n)
     # refused only after the metric is read, so a malformed option exits 2
     if _refuse_invalid(spec):
@@ -240,65 +251,136 @@ def _cmd_catalog(args) -> int:
     return _fail_usage("unknown catalog action %r" % args.action)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="nilcoh",
-        description="Exact cohomology and metric-condition computations for "
-        "structure files of Lie algebras with invariant complex structures.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check d^2 = 0 and the nilpotency flag")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("table", help="print a hodge-number table")
-    p.add_argument("file")
-    p.add_argument(
-        "--theory",
-        default="bc",
-        help="bc | aeppli | dolbeault | conj_dolbeault | derham",
-    )
-    p.add_argument("--pretty", action="store_true", help="aligned text table")
-    p.set_defaults(func=_cmd_table)
-
-    p = sub.add_parser("metric", help="check a metric condition")
-    p.add_argument("file")
-    p.add_argument("--diag", help="comma-separated diagonal entries, e.g. 1,2,1")
-    p.add_argument("--hmatrix", help='JSON file {"H": [[{"re","im"}, ...], ...]}')
-    p.add_argument(
-        "--check",
-        required=True,
-        help="kahler | gauduchon | skt | astheno | pluriclosed:K | ftpair",
-    )
-    p.set_defaults(func=_cmd_metric)
-
-    p = sub.add_parser("obstruct", help="run the obstruction battery")
-    p.add_argument("file")
-    p.add_argument("--diag", help="diagonal metric for the L functional")
-    p.add_argument("--hmatrix", help="Hermitian matrix JSON for the L functional")
-    p.set_defaults(func=_cmd_obstruct)
-
-    p = sub.add_parser("product", help="write the direct-sum structure file")
-    p.add_argument("file1")
-    p.add_argument("file2")
-    p.add_argument("-o", "--output", help="output path (default stdout)")
-    p.set_defaults(func=_cmd_product)
-
-    p = sub.add_parser("catalog", help="list / show / suite over worked examples")
-    p.add_argument("action", choices=["list", "show", "suite"])
-    p.add_argument("keys", nargs="*", help="catalog key(s)")
-    p.add_argument("--pretty", action="store_true", help="plain-text output")
-    p.set_defaults(func=_cmd_catalog)
-
-    return parser
+# Each command: its handler, a one-line summary, its positional names (a trailing
+# "*" lets the last take any number of tokens, as a list) and its options.
+# An option maps its spelling to the attribute it sets and that attribute's
+# default: False marks a flag, _REQUIRED an option that must be given, and
+# any other default is the value of an option left out.
+_REQUIRED = object()
+_COMMANDS = {
+    "validate": (_cmd_validate, "check d^2 = 0 and the nilpotency flag", ("file",), {}),
+    "table": (
+        _cmd_table,
+        "print a hodge-number table; THEORY: bc, aeppli, dolbeault, conj_dolbeault, derham",
+        ("file",),
+        {"--theory": ("theory", "bc"), "--pretty": ("pretty", False)},
+    ),
+    "metric": (
+        _cmd_metric,
+        "check a metric condition; CHECK: kahler, gauduchon, skt, astheno, pluriclosed:K, ft_pair",
+        ("file",),
+        {"--check": ("check", _REQUIRED), "--diag": ("diag", None), "--hmatrix": ("hmatrix", None)},
+    ),
+    "obstruct": (
+        _cmd_obstruct,
+        "run the obstruction battery, with the L functional of a DIAG or HMATRIX metric",
+        ("file",),
+        {"--diag": ("diag", None), "--hmatrix": ("hmatrix", None)},
+    ),
+    "product": (
+        _cmd_product,
+        "write the direct-sum structure file to OUTPUT (default stdout)",
+        ("file1", "file2"),
+        {"-o": ("output", None), "--output": ("output", None)},
+    ),
+    "catalog": (
+        _cmd_catalog,
+        "ACTION is list, show KEY, or suite [KEYS...] to recheck the worked examples",
+        ("action", "keys*"),
+        {"--pretty": ("pretty", False)},
+    ),
+}
+_HELP = ("-h", "--help")
 
 
-_PARSER = build_parser()
+def _usage(name=None) -> str:
+    """The usage line of a command, or of the program."""
+    if name is None:
+        return "usage: nilcoh {%s} ..." % ",".join(_COMMANDS)
+    _, _, positional, options = _COMMANDS[name]
+    words = ["[%s...]" % p[:-1].upper() if p.endswith("*") else p.upper() for p in positional]
+    for spelling, (attr, default) in options.items():
+        word = spelling if default is False else "%s %s" % (spelling, attr.upper())
+        words.append(word if default is _REQUIRED else "[%s]" % word)
+    return "usage: nilcoh %s %s" % (name, " ".join(words))
+
+
+def _cmd_help(args) -> int:
+    for name in [args.command] if args.command else _COMMANDS:
+        sys.stdout.write("%s\n    %s\n" % (_usage(name), _COMMANDS[name][1]))
+    return 0
+
+
+def _is_option(token: str) -> bool:
+    """True for a token led by "-", unless it is "-" alone, a negative
+    number such as -2 or -.5, or a text with a space: those are values."""
+    number = token[1:].replace(".", "", 1)
+    negative = number.isdecimal() and token[-1] != "."
+    return token[:1] == "-" and len(token) > 1 and " " not in token and not negative
+
+
+def _parse(argv):
+    """The namespace of a command line, whose ``func`` runs it, or the usage
+    message of a malformed one.  An option reads ``--name VALUE``,
+    ``--name=VALUE`` or ``-o VALUE``, its value the next token whatever it
+    starts with; ``--`` ends the options, and ``-h``/``--help`` before it
+    asks for help even after a mistake."""
+    if not argv or argv[0] not in _COMMANDS:
+        if argv and argv[0] in _HELP:
+            return SimpleNamespace(func=_cmd_help, command=None)
+        problem = "unknown command %.60r" % argv[0] if argv else "a command is required"
+        return "%s\nerror: %s" % (_usage(), problem)
+    name = argv[0]
+    func, _, positional, options = _COMMANDS[name]
+    args = SimpleNamespace(func=func, command=name)
+    args.__dict__.update(options.values())  # (attribute, default) pairs
+    values, problems = [], []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token == "--":
+            values.extend(tokens)  # every later token is positional
+        elif not _is_option(token):
+            values.append(token)
+        elif token in _HELP:
+            return SimpleNamespace(func=_cmd_help, command=name)
+        else:
+            spelling, eq, value = token.partition("=") if token[:2] == "--" else (token, "", "")
+            attr, default = options.get(spelling, (None, None))
+            if attr is None:
+                problems.append("unrecognized option %.60r" % token)
+            elif default is False:
+                setattr(args, attr, True)
+                if eq:
+                    problems.append("option %s takes no value" % spelling)
+            else:
+                setattr(args, attr, value if eq else next(tokens, None))
+                if getattr(args, attr) is None:
+                    problems.append("option %s needs a value" % spelling)
+    problems += [
+        "option %s is required" % spelling
+        for spelling, (attr, default) in options.items()
+        if getattr(args, attr) is _REQUIRED
+    ]
+    repeat = positional[-1].endswith("*")
+    fixed = positional[:-1] if repeat else positional
+    if len(values) < len(fixed):
+        problems.append("%s is missing" % fixed[len(values)].upper())
+    elif len(values) > len(fixed) and not repeat:
+        problems.append("unexpected argument %.60r" % values[len(fixed)])
+    if problems:
+        return "%s\nerror: %s" % (_usage(name), problems[0])
+    args.__dict__.update(zip(fixed, values))
+    if repeat:
+        setattr(args, positional[-1][:-1], values[len(fixed):])
+    return args
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    """Run one command line (``sys.argv[1:]`` by default) and return its
+    exit code, 0, 1 or 2."""
+    args = _parse(sys.argv[1:] if argv is None else argv)
+    if isinstance(args, str):
+        return _fail_usage(args)
     try:
         return args.func(args)
     except StructureSyntaxError as exc:

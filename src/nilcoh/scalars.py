@@ -157,23 +157,31 @@ def parse_scalar(text: str) -> GaussianRational:
 def parse_rational(text: str) -> Fraction:
     """Parse ``<rat>`` of :func:`parse_scalar` alone: an optionally signed
     integer or ``p/q`` in ASCII digits, q nonzero."""
-    if _re.fullmatch(_RAT, text, _re.ASCII) is None:
+    m = _SCALAR_RE.match(text)
+    if m is None or m.group("re_only") != text:  # no other form, no blanks
         raise ValueError("malformed rational %.60r" % text)
     try:
-        return Fraction(text)
+        return _fraction(text)
     except ZeroDivisionError:
         raise ValueError("zero denominator in rational %.60r" % text) from None
 
 
+def _fraction(text: str) -> Fraction:
+    """The Fraction of a matched ``<rat>``: its digit groups are ASCII, so
+    ``int`` reads them directly (ZeroDivisionError for a zero denominator)."""
+    num, _, den = text.partition("/")
+    return Fraction(int(num), int(den)) if den else Fraction(int(num))
+
+
 def _scalar_from_match(m) -> GaussianRational:
     if m.group("re_only") is not None:
-        return GaussianRational(Fraction(m.group("re_only")))
+        return GaussianRational(_fraction(m.group("re_only")))
     if m.group("im_only") is not None:
-        return GaussianRational(0, Fraction(m.group("im_only")))
+        return GaussianRational(0, _fraction(m.group("im_only")))
     if m.group("sign_i") is not None and m.group("re_part") is None:
         return GaussianRational(0, -1 if m.group("sign_i") == "-" else 1)
-    re_part = Fraction(m.group("re_part"))
-    im_part = Fraction(m.group("im_part")) if m.group("im_part") else Fraction(1)
+    re_part = _fraction(m.group("re_part"))
+    im_part = _fraction(m.group("im_part")) if m.group("im_part") else Fraction(1)
     if m.group("op") == "-":
         im_part = -im_part
     return GaussianRational(re_part, im_part)

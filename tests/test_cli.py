@@ -451,3 +451,135 @@ def test_byte_determinism(files, capsys):
         _, out, _ = run(capsys, ["table", files["iwasawa"], "--theory", "bc"])
         outs.add(out)
     assert len(outs) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["nope"],
+        ["validate"],
+        ["validate", "FILE", "FILE"],
+        ["metric", "FILE"],
+        ["metric", "FILE", "--check"],
+        ["table", "FILE", "--bogus"],
+        ["table", "FILE", "--pretty=1"],
+        ["catalog", "frob"],
+        ["catalog"],
+        ["product", "FILE"],
+        ["table", "FILE", "--the", "bc"],  # an option is spelled in full
+        ["product", "FILE", "FILE", "-oOUT"],  # -o takes its value as the next token only
+        ["product", "FILE", "FILE", "-o=OUT"],
+        ["table", "FILE", "--bogus", "--theory"],
+    ],
+)
+def test_usage_errors_exit_two(files, capsys, tmp_path, argv):
+    # OUT names a path under tmp_path, so a wrongly accepted -o writes nothing elsewhere
+    argv = [files["iwasawa"] if a == "FILE" else a.replace("OUT", str(tmp_path / "out")) for a in argv]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    if argv[:2] != ["catalog", "frob"]:  # the action is checked by the catalog command
+        lines = err.splitlines()
+        assert len(lines) == 2 and lines[0].startswith("usage: nilcoh") and lines[1].startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[]] + [[command] for command in ("validate", "table", "metric", "obstruct", "product", "catalog")]
+    + [["table", "FILE", "--bogus"], ["metric", "FILE", "--diag", "1,1,1"], ["catalog", "frob"]],
+)
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_exits_zero(files, capsys, argv, flag):
+    argv = [files["iwasawa"] if a == "FILE" else a for a in argv]
+    code, out, err = run(capsys, argv + [flag])
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: nilcoh %s " % (argv[0] if argv else "validate"))
+
+
+def test_help_lists_every_command(capsys):
+    _, out, _ = run(capsys, ["--help"])
+    usages = [line for line in out.splitlines() if line.startswith("usage: ")]
+    assert usages == [
+        "usage: nilcoh validate FILE",
+        "usage: nilcoh table FILE [--theory THEORY] [--pretty]",
+        "usage: nilcoh metric FILE --check CHECK [--diag DIAG] [--hmatrix HMATRIX]",
+        "usage: nilcoh obstruct FILE [--diag DIAG] [--hmatrix HMATRIX]",
+        "usage: nilcoh product FILE1 FILE2 [-o OUTPUT] [--output OUTPUT]",
+        "usage: nilcoh catalog ACTION [KEYS...] [--pretty]",
+    ]
+
+
+def test_catalog_options_may_precede_the_keys(capsys):
+    before = run(capsys, ["catalog", "suite", "--pretty", "kodaira"])
+    after = run(capsys, ["catalog", "suite", "kodaira", "--pretty"])
+    assert before == after and before[0] == 0 and before[1].startswith("kodaira ")
+
+
+@pytest.mark.parametrize("theory", ["bc", "aeppli", "derham"])
+def test_option_value_after_an_equals_sign(files, capsys, theory):
+    joined = run(capsys, ["table", files["iwasawa"], "--theory=" + theory])
+    apart = run(capsys, ["table", files["iwasawa"], "--theory", theory])
+    assert joined == apart and joined[0] == 0
+
+
+def test_option_value_may_start_with_a_dash(files, capsys):
+    code, out, _ = run(capsys, ["metric", files["iwasawa"], "--check", "gauduchon", "--diag", "-1,1,1"])
+    assert code in (0, 1) and json.loads(out)["verdicts"]["metric"]["positive"] is False
+    code, out, err = run(capsys, ["table", files["iwasawa"], "--theory", "-h"])
+    assert (code, out) == (2, "") and "unknown theory '-h'" in err
+
+
+def test_double_dash_ends_the_options(files, capsys, tmp_path):
+    code, out, _ = run(capsys, ["catalog", "suite", "--", "kodaira"])
+    assert code == 0 and json.loads(out)["ok"] is True
+    code, out, err = run(capsys, ["validate", "--", "-x"])
+    assert (code, out, err) == (2, "", "cannot read -x\n")
+    out_path = tmp_path / "prod.alg"
+    code, _, _ = run(capsys, ["product", "-o", str(out_path), "--", files["kodaira"], files["torus1"]])
+    assert code == 0 and out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["metric", "FILE", "--check", "kahler", "--diag", ""],
+        ["metric", "FILE", "--check", "kahler", "--diag="],
+        ["metric", "FILE", "--check", "kahler", "--hmatrix", ""],
+        ["obstruct", "FILE", "--diag", ""],
+        ["obstruct", "FILE", "--hmatrix="],
+    ],
+)
+def test_an_empty_metric_option_is_refused(files, capsys, argv):
+    code, out, err = run(capsys, [files["iwasawa"] if a == "FILE" else a for a in argv])
+    assert (code, out) == (2, "") and err
+
+
+@pytest.mark.parametrize("command", [["metric", "--check", "skt"], ["obstruct"]])
+def test_diag_and_hmatrix_exclude_each_other(files, capsys, tmp_path, command):
+    hpath = tmp_path / "H.json"
+    hpath.write_text(json.dumps({"H": [[{"re": 1}, {"re": 0}], [{"re": 0}, {"re": 1}]]}), encoding="ascii")
+    argv = command[:1] + [files["kodaira"]] + command[1:]
+    assert run(capsys, argv + ["--hmatrix", str(hpath)])[0] in (0, 1)
+    code, out, err = run(capsys, argv + ["--diag", "1,1", "--hmatrix", str(hpath)])
+    assert (code, out, err) == (2, "", "error: --diag and --hmatrix exclude each other\n")
+
+
+def test_main_compiles_no_regex_after_a_warm_up(files, capsys, monkeypatch, tmp_path):
+    """A command line compiles no regular expression and looks none up in
+    the ``re`` cache: every pattern is compiled once, at import."""
+    import re
+
+    hpath = tmp_path / "H.json"
+    hpath.write_text(json.dumps({"H": [[{"re": "2"}, {"re": "0", "im": "1/2"}], [{"re": "0", "im": "-1/2"}, {"re": 1}]]}), encoding="ascii")
+    jobs = [
+        ["metric", files["kodaira"], "--hmatrix", str(hpath), "--check", "skt"],
+        ["table", files["iwasawa"], "--theory", "aeppli"],
+    ]
+    for argv in jobs:
+        assert run(capsys, argv)[0] == 0
+    calls = []
+    compile_ = re._compile
+    monkeypatch.setattr(re, "_compile", lambda *a: calls.append(a) or compile_(*a))
+    for argv in jobs:
+        assert run(capsys, argv)[0] == 0
+    assert calls == []

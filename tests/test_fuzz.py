@@ -6,20 +6,23 @@ parse error) must hold for every input, so no exception may escape
 mixed bidegrees, repeated factors and zero scalars, and in half of them one
 mistake the parser must refuse ((0,2) and out-of-range factors, malformed
 scalars, conjugate or duplicate left-hand sides, a broken header).
-``--hmatrix`` files are drawn from malformed JSON.  The runs are
-derandomized, so every run checks the same examples.
+``--hmatrix`` files are drawn from malformed JSON, and command lines from
+token lists of commands, option names, ``--name=VALUE`` forms, ``--``, stray
+tokens and values led by a dash.  The runs are derandomized, so every run
+checks the same examples.
 """
 
 import contextlib
 import io
 import json
+import os
 import tempfile
 from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nilcoh.catalog import kodaira_spec, torus_spec
+from nilcoh.catalog import iwasawa_spec, kodaira_spec, torus_spec
 from nilcoh.cli import main
 from nilcoh.dsl import StructureSyntaxError, format_structure_file, parse_structure_file
 
@@ -181,3 +184,58 @@ def test_cli_exit_codes_on_malformed_hmatrix(hmatrix, spec, command):
         assert out == "" and err
     else:
         json.loads(out)
+
+
+# spec.alg and H.json name a structure file and a metric file in the working directory
+ARGV_TOKENS = st.one_of(
+    st.sampled_from(
+        ["validate", "table", "metric", "obstruct", "product", "catalog", "list", "show", "suite",
+         "kodaira", "torus(1)", "spec.alg", "H.json", "out.alg",
+         "--theory", "--theory=bc", "--theory=derham", "bc", "aeppli", "--pretty", "--pretty=1",
+         "--check", "--check=skt", "skt", "pluriclosed:1", "--diag", "--diag=1,1", "--diag=",
+         "1,1", "-1,2", "--hmatrix", "--hmatrix=H.json", "-o", "--output", "--output=out.alg",
+         "--", "-", "-1", "-.5", "-x", "--bogus", "--the", "", "-h", "--help"]
+    ),
+    st.text(alphabet="-=a1 ,", max_size=5),
+)
+HEADS = [
+    ["validate", "spec.alg"], ["table", "spec.alg"], ["metric", "spec.alg"], ["obstruct", "spec.alg"],
+    ["product", "spec.alg", "spec.alg"], ["catalog", "list"], ["catalog", "show", "torus(1)"],
+    ["catalog", "suite", "kodaira"],
+]
+OPTIONS = [
+    ["--theory", "aeppli"], ["--theory=bc"], ["--pretty"], ["--check", "skt"], ["--check=gauduchon"],
+    ["--diag", "1,2,1"], ["--diag", "-1,2,1"], ["--diag=1/2,1,1"], ["--hmatrix", "H.json"], ["-o", "out.alg"],
+    ["--output=out.alg"], ["--"],
+]
+ARGVS = st.one_of(
+    st.lists(ARGV_TOKENS, max_size=7),
+    # a command and its positionals, then options and stray tokens
+    st.builds(
+        lambda head, options, stray: head + [token for option in options for token in option] + stray,
+        st.sampled_from(HEADS),
+        st.lists(st.sampled_from(OPTIONS), max_size=2),
+        st.lists(ARGV_TOKENS, max_size=1),
+    ),
+)
+
+
+@FUZZ
+@given(argv=ARGVS)
+def test_cli_exit_codes_on_argument_lists(argv):
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "spec.alg").write_text(format_structure_file(iwasawa_spec()), encoding="ascii")
+        H = [[{"re": (2, 1, 1)[i] if i == j else 0} for j in range(3)] for i in range(3)]  # diag(2, 1, 1)
+        Path(tmp, "H.json").write_text(json.dumps({"H": H}), encoding="ascii")
+        os.chdir(tmp)  # and -o writes its relative paths here
+        try:
+            code, out, err = run(argv)
+        except SystemExit as exc:
+            raise AssertionError("main raised SystemExit(%r)" % exc.code) from None
+        finally:
+            os.chdir(cwd)
+
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == "" and err

@@ -1,9 +1,10 @@
 """Every module of the package uses each name it imports, imports only
 at module level, uses no floating point and leaves the rational kernel
 and span views to outside callers; importing the command line loads none
-of the heavy introspection modules."""
+of the heavy introspection modules and no argument-parsing library."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -175,12 +176,24 @@ def test_no_module_imports_inside_a_function_or_class():
     assert found == {}
 
 
-def test_cli_import_loads_no_introspection_modules():
-    heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize"]
-    code = "import sys, nilcoh.cli; print(sorted(set(%r) & set(sys.modules)))" % heavy
+def modules_loaded_by_cli_import(names: list) -> list:
+    """Those of ``names`` in ``sys.modules`` after a fresh interpreter
+    imports ``nilcoh.cli``."""
+    code = "import json, sys, nilcoh.cli; print(json.dumps(sorted(set(%r) & set(sys.modules))))" % names
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     # -S: startup hooks of installed packages may load these modules themselves
     out = subprocess.run(
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert out == "[]\n"
+    return json.loads(out)
+
+
+def test_cli_import_loads_no_introspection_modules():
+    assert modules_loaded_by_cli_import(["dataclasses", "inspect", "ast", "dis", "tokenize"]) == []
+
+
+def test_cli_import_loads_no_argument_parser():
+    """The command line reads its arguments against its own table: the
+    import loads neither ``argparse`` nor the ``gettext`` and ``locale``
+    modules that ``argparse`` pulls in."""
+    assert modules_loaded_by_cli_import(["argparse", "gettext", "locale"]) == []
