@@ -192,7 +192,7 @@ def _cmd_product(args) -> int:
     left = read_structure_file(args.file1)
     right = read_structure_file(args.file2)
     text = format_structure_file(direct_sum(left, right))
-    if args.output:
+    if args.output is not None:
         try:
             with open(args.output, "w", encoding="ascii") as fh:
                 fh.write(text)

@@ -22,6 +22,17 @@ and each theory's (kernel, image) pair, is built once per spec and keeps
 its rank once computed.  Class representatives read their masks off the
 column labels; a BasisForm is built only when they become Forms.
 
+A table uses a symmetry only after an exact check on the spec
+(:data:`MIRRORS`).  Conjugation, a_S ^ ~a_T -> (-1)^(|S||T|) a_T ^ ~a_S,
+swaps del and delbar once it commutes with d on the generators, so the
+Bott-Chern and Aeppli tables are symmetric in (p, q).  Serre duality
+h^{p,q} = h^{n-p,n-q} holds for Dolbeault (conjugate Dolbeault) once delbar
+(del) vanishes into (n, n), and b_k = b_{2n-k} once d vanishes on degree
+2n - 1, that is, g is unimodular, as every nilpotent g is (Angella, LNM
+2095).  :func:`hodge_table` then computes one half and copies the other,
+and :func:`derham_betti` builds d only below degree n.  Single groups are
+always computed in full.
+
 Each hodge table carries a validity flag: ``nilpotent_J`` when the
 nilpotency filtration closes at the full degree-one space (for those specs
 the invariant computation computes the corresponding compact-quotient
@@ -33,7 +44,16 @@ Lie algebra is nilpotent, not that J is (Cordero-Fernandez-Gray-Ugarte).
 
 from __future__ import annotations
 
-from .algebra import AlgebraSpec, differential_matrix, jacobi_failures, validate
+from math import comb
+
+from .algebra import (
+    AlgebraSpec,
+    _d_terms,
+    _term_tables,
+    differential_matrix,
+    jacobi_failures,
+    validate,
+)
 from .forms import _mask_form, component_masks, degree_masks
 from .linalg import (
     IndexedMatrix,
@@ -54,6 +74,63 @@ THEORY_TABLE = {
     "aeppli": ("aeppli", (("deldelbar", 0, 0),), (("del", -1, 0), ("delbar", 0, -1))),
 }
 THEORIES = tuple(THEORY_TABLE)
+
+
+def _annihilates(spec: AlgebraSpec, dp, masks) -> bool:
+    """Whether d (dp None), del (dp 1) or delbar (dp 0) is zero on every
+    monomial of ``masks``, that is, its matrix out of them has no nonzeros."""
+    table = _term_tables(spec)[1][dp]
+    return not any(_d_terms(table, {m: (1, 0)}) for m in masks)
+
+
+def _conjugate_mask(n: int, mask: int):
+    """``(mask', sign)``: conj(a_S ^ ~a_T) = sign a_T ^ ~a_S, sign = (-1)^(|S||T|)."""
+    s, t = mask & ((1 << n) - 1), mask >> n
+    return t | s << n, -1 if s.bit_count() * t.bit_count() & 1 else 1
+
+
+def _commutes_with_conjugation(spec: AlgebraSpec, n: int) -> bool:
+    """Whether the term table of d at each generator's conjugate is the
+    conjugate of its term table: then conj . d = d . conj on generators and,
+    d being an anti-derivation, on all forms."""
+    images = {
+        b: {g: (re, im) for g, _, re, im in placed} for b, placed in _term_tables(spec)[1][None]
+    }
+    for b, image in images.items():
+        mirrored = {}
+        for g, (re, im) in image.items():
+            w, sign = _conjugate_mask(n, g)
+            mirrored[w] = (sign * re, -sign * im)
+        if images.get(_conjugate_mask(n, b)[0]) != mirrored:
+            return False
+    return True
+
+
+def _unimodular(spec: AlgebraSpec) -> bool:
+    """Whether d is zero on degree 2n - 1, as it is for every nilpotent g:
+    then d on degree k is adjoint to d on degree 2n - 1 - k under the wedge
+    pairing into degree 2n, and the two have one rank."""
+    return _annihilates(spec, None, degree_masks(spec.n, 2 * spec.n - 1))
+
+
+def _serre(n, p, q):
+    return n - p, n - q
+
+
+def _swap(n, p, q):
+    return q, p
+
+
+# theory -> (the mirror of (p, q) in dimension n, the exact check on a spec
+# that h^{p,q} equals h at the mirror for every (p, q)); under the wedge
+# pairing into (n, n), delbar (del) is adjoint to itself across
+# complementary bidegrees once it is zero out of (n, n-1) ((n-1, n)).
+MIRRORS = {
+    "dolbeault": (_serre, lambda spec, n: _annihilates(spec, 0, component_masks(n, n, n - 1))),
+    "conj_dolbeault": (_serre, lambda spec, n: _annihilates(spec, 1, component_masks(n, n - 1, n))),
+    "bott_chern": (_swap, _commutes_with_conjugation),
+    "aeppli": (_swap, _commutes_with_conjugation),
+}
 
 
 class HodgeTable:
@@ -132,13 +209,24 @@ def hodge_number(spec: AlgebraSpec, theory: str, p: int, q: int) -> int:
 
 
 def hodge_table(spec: AlgebraSpec, theory: str) -> HodgeTable:
+    """Every h^{p,q} of the theory (ValueError unless d.d = 0).  With a
+    certified mirror (:data:`MIRRORS`) an entry whose mirror comes earlier
+    in row order copies it; every other entry is :func:`hodge_number`."""
     report = validate(spec)
     if not report.jacobi_ok:
         raise ValueError("spec fails the Jacobi check; no cohomology defined")
-    entries = [
-        [hodge_number(spec, theory, p, q) for q in range(spec.n + 1)]
-        for p in range(spec.n + 1)
-    ]
+    n = spec.n
+    mirror, certificate = MIRRORS.get(theory, (None, None))
+    certified = mirror is not None and certificate(spec, n)
+    entries = []
+    for p in range(n + 1):
+        entries.append([])
+        for q in range(n + 1):
+            mp, mq = mirror(n, p, q) if certified else (p, q)
+            if (mp, mq) < (p, q):
+                entries[p].append(entries[mp][mq])
+            else:
+                entries[p].append(hodge_number(spec, theory, p, q))
     return HodgeTable(
         theory=theory,
         n=spec.n,
@@ -148,13 +236,21 @@ def hodge_table(spec: AlgebraSpec, theory: str) -> HodgeTable:
 
 
 def derham_betti(spec: AlgebraSpec) -> list:
-    """Betti numbers b_0 .. b_{2n} of the total complex (ValueError unless d.d = 0)."""
+    """Betti numbers b_0 .. b_{2n} of the total complex (ValueError unless d.d = 0).
+
+    On a unimodular spec rank d_k = rank d_{2n-1-k}, so b_{2n-k} = b_k and
+    b_n = C(2n, n) - 2 rank d_{n-1}: only d_{-1} .. d_{n-1} are built."""
     if jacobi_failures(spec):
         raise ValueError("spec fails the Jacobi check; no cohomology defined")
-    return [
+    n = spec.n
+    unimodular = _unimodular(spec)
+    betti = [
         subquotient_dim(d_matrix(spec, k), d_matrix(spec, k - 1))
-        for k in range(2 * spec.n + 1)
+        for k in range(n if unimodular else 2 * n + 1)
     ]
+    if unimodular:
+        betti += [comb(2 * n, n) - 2 * rank(d_matrix(spec, n - 1))] + betti[::-1]
+    return betti
 
 
 def _vector_forms(spec: AlgebraSpec, cols, vectors):

@@ -356,6 +356,12 @@ def test_unwritable_product_output_exits_two(files, capsys, tmp_path, where):
     assert (code, out, err) == (2, "", "cannot write %s\n" % path)
 
 
+@pytest.mark.parametrize("option", [["-o", ""], ["--output", ""], ["--output="]])
+def test_an_empty_output_path_is_refused(files, capsys, option):
+    code, out, err = run(capsys, ["product", files["kodaira"], files["torus1"]] + option)
+    assert (code, out, err) == (2, "", "cannot write \n")
+
+
 def test_catalog_list_and_show(capsys):
     code, out, _ = run(capsys, ["catalog", "list"])
     assert code == 0

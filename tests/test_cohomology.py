@@ -18,8 +18,11 @@ from nilcoh.catalog import (
     torus_spec,
 )
 from nilcoh.cohomology import (
+    MIRRORS,
     THEORIES,
+    _commutes_with_conjugation,
     _theory_operators,
+    _unimodular,
     class_representatives,
     d_matrix,
     derham_betti,
@@ -30,12 +33,12 @@ from nilcoh.cohomology import (
 )
 from nilcoh.dsl import parse_structure_file
 from nilcoh.forms import BasisForm, Form, alpha, alphabar, component_masks, degree_masks
-from nilcoh.linalg import IndexedMatrix, hstack, kernel_basis, rank, vstack
+from nilcoh.linalg import IndexedMatrix, hstack, kernel_basis, rank, subquotient_dim, vstack
 from nilcoh.obstructions import holomorphic_one_forms
 from nilcoh.scalars import GaussianRational
 
 from oracle import OracleAlgebra, scalar_to_sympy
-from generators import basis_forms, rand_gauss_over, random_two_step
+from generators import basis_forms, rand_gauss_over, random_layered, random_two_step
 from test_algebra import rand_valid_spec
 
 
@@ -140,15 +143,17 @@ def test_frolicher_and_angella_tomassini_equalities_on_tori():
 
 
 def test_conjugation_symmetry_everywhere():
+    # entry by entry, as a table copies one half once it is certified
     for key in catalog_list():
         spec = catalog_get(key).spec
         if not validate(spec).jacobi_ok:
             continue
         for theory in ("bott_chern", "aeppli"):
-            t = hodge_table(spec, theory).entries
             for p in range(spec.n + 1):
-                for q in range(spec.n + 1):
-                    assert t[p][q] == t[q][p], (key, theory, p, q)
+                for q in range(p):
+                    assert hodge_number(spec, theory, p, q) == hodge_number(
+                        spec, theory, q, p
+                    ), (key, theory, p, q)
 
 
 def test_duality_pairs_bott_chern_with_aeppli():
@@ -172,10 +177,17 @@ def test_dolbeault_conj_dolbeault_mirror():
                 assert do[p][q] == cd[q][p]
 
 
+def _long_betti(spec):
+    """b_0 .. b_{2n}, each from its own d matrices."""
+    return [
+        subquotient_dim(d_matrix(spec, k), d_matrix(spec, k - 1)) for k in range(2 * spec.n + 1)
+    ]
+
+
 def test_betti_palindrome_and_euler_zero():
     for key in ("iwasawa", "kodaira", "exnilp_ones(3)", "torus(2)"):
         spec = catalog_get(key).spec
-        betti = derham_betti(spec)
+        betti = _long_betti(spec)
         assert betti == betti[::-1]
         assert sum((-1) ** k * b for k, b in enumerate(betti)) == 0
 
@@ -491,3 +503,178 @@ def test_representatives_and_holomorphic_forms_equal_a_rational_reference():
                     got = class_representatives(spec, theory, p, q)
                     assert got == _reference_representatives(spec, theory, p, q)
                     assert len(got) == hodge_number(spec, theory, p, q)
+
+
+# Non-unimodular structures (d is nonzero on degree 2n - 1), so g is not
+# nilpotent: Serre and Poincare duality fail on them.
+NON_UNIMODULAR = {
+    "nu": "algebra nu dim 1\nd a1 = (1) * a1 ^ ~a1\n",
+    "solv3": "algebra solv3 dim 3\nd a2 = (-1) * a1 ^ a2\nd a3 = (-i) * a1 ^ a3\n",
+    "mixed3": "algebra mixed3 dim 3\nd a1 = (i) * a2 ^ a3 + (i) * a1 ^ a2\nd a3 = (1) * a2 ^ ~a2\n",
+}
+
+
+def _long_way(spec):
+    """Every table of ``spec`` with each entry computed on its own, on a
+    copy of the spec that shares no cache with it: {theory: entries}, and
+    the Betti numbers under "derham"."""
+    fresh = type(spec)(spec.name, spec.n, spec.d_generators)
+    n = spec.n
+    out = {
+        theory: [[hodge_number(fresh, theory, p, q) for q in range(n + 1)] for p in range(n + 1)]
+        for theory in THEORIES
+    }
+    out["derham"] = _long_betti(fresh)
+    return out
+
+
+def _tables(spec):
+    out = {theory: hodge_table(spec, theory).entries for theory in THEORIES}
+    out["derham"] = derham_betti(spec)
+    return out
+
+
+def _certificates(spec):
+    return {theory: certified(spec, spec.n) for theory, (_, certified) in MIRRORS.items()} | {
+        "derham": _unimodular(spec)
+    }
+
+
+def _mirror_specs():
+    rng = random.Random(131)
+    specs = [catalog_get(key).spec for key in catalog_list()]
+    specs += [random_two_step(rng, n, name="draw%d" % n) for n in (2, 3, 4, 5) for _ in range(3)]
+    specs += [
+        random_two_step(rng, n, name="q%d" % n, coefficient=lambda r: rand_gauss_over(r, (2, 3)))
+        for n in (3, 4)
+    ]
+    specs += [random_layered(rng, rng.randint(2, 4)) for _ in range(16)]
+    specs += [parse_structure_file(text) for text in NON_UNIMODULAR.values()]
+    return [spec for spec in specs if validate(spec).jacobi_ok]
+
+
+def test_tables_equal_every_entry_computed_the_long_way():
+    """Each table, mirrored halves included, equals the table of entries
+    each computed by hodge_number (or subquotient_dim on the d matrices),
+    on certified and uncertified specs alike."""
+    certified = set()
+    for spec in _mirror_specs():
+        assert _tables(spec) == _long_way(spec), spec.name
+        certified.add(all(_certificates(spec).values()))
+    assert certified == {True, False}
+
+
+def test_every_catalog_entry_is_certified():
+    for key in catalog_list():
+        spec = catalog_get(key).spec
+        assert all(_certificates(spec).values()), key
+
+
+def test_certificates_read_the_top_operators():
+    """Each duality certificate says that the operator into the top degree
+    has no nonzeros, and fails exactly on the non-unimodular specs."""
+    for spec in _mirror_specs():
+        n = spec.n
+        found = _certificates(spec)
+        assert found["dolbeault"] == (not any(operator_matrix(spec, "delbar", n, n - 1).int_rows()))
+        assert found["conj_dolbeault"] == (
+            not any(operator_matrix(spec, "del", n - 1, n).int_rows())
+        )
+        assert found["derham"] == (not any(d_matrix(spec, 2 * n - 1).int_rows()))
+        assert found["bott_chern"] is found["aeppli"] is True
+        assert found["dolbeault"] == found["conj_dolbeault"] == found["derham"]
+        if spec.name in NON_UNIMODULAR:
+            assert not found["derham"]
+
+
+def test_uncertified_mirrors_keep_asymmetric_entries():
+    spec = parse_structure_file(NON_UNIMODULAR["nu"])
+    assert _certificates(spec) == {
+        "dolbeault": False,
+        "conj_dolbeault": False,
+        "bott_chern": True,
+        "aeppli": True,
+        "derham": False,
+    }
+    assert _tables(spec) == {
+        "dolbeault": [[1, 1], [0, 0]],
+        "conj_dolbeault": [[1, 0], [1, 0]],
+        "bott_chern": [[1, 0], [0, 1]],
+        "aeppli": [[1, 1], [1, 0]],
+        "derham": [1, 1, 0],
+    }
+    for key in ("solv3", "mixed3"):
+        spec = parse_structure_file(NON_UNIMODULAR[key])
+        n = spec.n
+        assert not any(_certificates(spec)[k] for k in ("dolbeault", "conj_dolbeault", "derham"))
+        oracle = OracleAlgebra.from_spec(spec, scalar_to_sympy)
+        tables = _tables(spec)
+        assert tables["derham"] == [oracle.derham_dim(k) for k in range(2 * n + 1)]
+        assert tables["derham"] != tables["derham"][::-1]
+        for theory, dim in (
+            ("dolbeault", oracle.dolbeault_dim),
+            ("conj_dolbeault", oracle.conj_dolbeault_dim),
+        ):
+            t = tables[theory]
+            assert t == [[dim(p, q) for q in range(n + 1)] for p in range(n + 1)]
+            assert any(t[p][q] != t[n - p][n - q] for p in range(n + 1) for q in range(n + 1))
+
+
+def test_conjugation_certificate_refuses_a_broken_term_table():
+    spec = parse_structure_file(
+        "algebra conj dim 3\nd a3 = (1-i) * a1 ^ a2 + (1/2+i) * a1 ^ ~a2\n"
+    )
+    assert _commutes_with_conjugation(spec, spec.n)
+    den, tables = spec._caches["terms"]
+    anti = [(b, placed) for b, placed in tables[None] if b >> spec.n]
+    holo = [(b, placed) for b, placed in tables[None] if not b >> spec.n]
+    (b, placed), = anti
+
+    def tampered(*terms):
+        return holo + ([(b, tuple(terms))] if terms else [])
+
+    broken = [
+        tampered(*((g, s, -re, -im) for g, s, re, im in placed)),  # sign flipped
+        tampered(*((g, s, re, -im) for g, s, re, im in placed)),  # not conjugated
+        tampered(*placed[:1]),  # a term dropped
+        tampered(),  # no differential at ~a3
+    ]
+    for table in broken:
+        spec._caches["terms"] = (den, {**tables, None: tuple(table)})
+        assert not _commutes_with_conjugation(spec, spec.n)
+
+
+def _domain_degrees(monkeypatch):
+    """(p, q) of the domain of every differential_matrix built from now on."""
+    import nilcoh.cohomology
+
+    built = []
+    real = nilcoh.cohomology.differential_matrix
+
+    def spy(spec, domain, codomain, dp=None):
+        if domain:
+            low = (1 << spec.n) - 1
+            built.append(((domain[0] & low).bit_count(), (domain[0] >> spec.n).bit_count()))
+        return real(spec, domain, codomain, dp)
+
+    monkeypatch.setattr(nilcoh.cohomology, "differential_matrix", spy)
+    return built
+
+
+def test_certified_tables_build_only_their_half(monkeypatch):
+    spec = parse_structure_file(
+        "algebra guard dim 4\n"
+        "d a3 = (1) * a1 ^ a2 + (1/2-i) * a1 ^ ~a2\n"
+        "d a4 = (2) * a1 ^ a3 + (i) * a2 ^ ~a1\n"
+    )
+    assert validate(spec).jacobi_ok and all(_certificates(spec).values())
+    n = spec.n
+    built = _domain_degrees(monkeypatch)
+    bc = hodge_table(spec, "bott_chern").entries
+    assert built and all(p <= q for p, q in built)
+    built.clear()
+    betti = derham_betti(spec)
+    assert built and all(p + q < n for p, q in built)
+    monkeypatch.undo()
+    long_way = _long_way(spec)
+    assert (bc, betti) == (long_way["bott_chern"], long_way["derham"])
