@@ -34,6 +34,7 @@ the series: the bidegree check of :class:`AlgebraSpec` enforces it.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .forms import BasisForm, Form, _mask_form, _mask_indices
@@ -123,6 +124,23 @@ class AlgebraSpec:
         return "AlgebraSpec(%r, n=%d)" % (self.name, self.n)
 
 
+def _per_spec(build):
+    """Decorator: ``build(spec, *args)`` runs once per spec and arguments,
+    and later calls return its first result.  Results are kept in the
+    spec's ``_caches`` under ``(build, *args)``, so two builders never share
+    a key; this is the only reader of ``_caches``."""
+
+    @functools.wraps(build)
+    def memo(spec, *args):
+        cache = spec._caches
+        key = (build, *args)
+        if key not in cache:
+            cache[key] = build(spec, *args)
+        return cache[key]
+
+    return memo
+
+
 class ValidationReport:
     """Outcome of the Jacobi check plus the nilpotency flag data."""
 
@@ -152,6 +170,7 @@ def _mask(n: int, bf: BasisForm) -> int:
     return sum(1 << (j - 1) for j in bf.holo) + sum(1 << (n + j - 1) for j in bf.anti)
 
 
+@_per_spec
 def _term_tables(spec: AlgebraSpec):
     """``(L, tables)``: L is the lcm of the denominators of the generator
     differentials.  ``tables[None]`` lists, for the bit b of each generator
@@ -161,9 +180,6 @@ def _term_tables(spec: AlgebraSpec):
     of a monomial gives the parity of the term's placement sign (see
     :func:`_d_terms`).  ``tables[1]`` and ``tables[0]`` keep the terms
     that raise p (for del) and q (for delbar).  Built once per spec."""
-    cached = spec._caches.get("terms")
-    if cached is not None:
-        return cached
     n = spec.n
     holo = (1 << n) - 1
     factors = [(1 << (j - 1), spec.d_alpha(j)) for j in range(1, n + 1)]
@@ -185,8 +201,7 @@ def _term_tables(spec: AlgebraSpec):
         for dp, table in tables.items():
             if placed[dp]:
                 table.append((b, tuple(placed[dp])))
-    out = spec._caches["terms"] = (den, {dp: tuple(t) for dp, t in tables.items()})
-    return out
+    return den, {dp: tuple(t) for dp, t in tables.items()}
 
 
 def _d_terms(table, terms) -> dict:
@@ -334,32 +349,21 @@ def nilpotency_filtration(spec: AlgebraSpec):
             series.append({j: (re // g, im // g) for j, re, im in row})
 
 
+@_per_spec
 def jacobi_failures(spec: AlgebraSpec) -> list:
     """The Jacobi check: ``(i, d d a_i)`` for each generator a_i whose
     d d a_i is nonzero (empty when d.d = 0).  Run once per spec."""
-    cached = spec._caches.get("jacobi")
-    if cached is None:
-        cached = spec._caches["jacobi"] = [
-            (i, dd) for i in range(1, spec.n + 1) if (dd := d(spec, spec.d_alpha(i)))
-        ]
-    return cached
+    return [(i, dd) for i in range(1, spec.n + 1) if (dd := d(spec, spec.d_alpha(i)))]
 
 
+@_per_spec
 def validate(spec: AlgebraSpec) -> ValidationReport:
     """Jacobi check (d.d = 0 on generators) plus the nilpotency flag."""
-    cached = spec._caches.get("validation")
-    if cached is not None:
-        return cached
     failing = jacobi_failures(spec)
     if failing:
-        report = ValidationReport(jacobi_ok=False, failing_generators=failing)
-    else:
-        nilpotent, dims = nilpotency_filtration(spec)
-        report = ValidationReport(
-            jacobi_ok=True, nilpotent_J=nilpotent, filtration=dims
-        )
-    spec._caches["validation"] = report
-    return report
+        return ValidationReport(jacobi_ok=False, failing_generators=failing)
+    nilpotent, dims = nilpotency_filtration(spec)
+    return ValidationReport(jacobi_ok=True, nilpotent_J=nilpotent, filtration=dims)
 
 
 def direct_sum(a: AlgebraSpec, b: AlgebraSpec) -> AlgebraSpec:

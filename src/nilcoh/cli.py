@@ -39,7 +39,7 @@ from .scalars import GaussianRational, parse_rational
 
 # each theory by its JSON key and by its own name, and the de Rham betti numbers
 _THEORY_ALIASES = {
-    name: theory for theory, (key, _, _) in THEORY_TABLE.items() for name in (key, theory)
+    name: theory for theory, (key, *_) in THEORY_TABLE.items() for name in (key, theory)
 }
 _THEORY_ALIASES["derham"] = "derham"
 

@@ -22,16 +22,15 @@ and each theory's (kernel, image) pair, is built once per spec and keeps
 its rank once computed.  Class representatives read their masks off the
 column labels; a BasisForm is built only when they become Forms.
 
-A table uses a symmetry only after an exact check on the spec
-(:data:`MIRRORS`).  Conjugation, a_S ^ ~a_T -> (-1)^(|S||T|) a_T ^ ~a_S,
-swaps del and delbar once it commutes with d on the generators, so the
-Bott-Chern and Aeppli tables are symmetric in (p, q).  Serre duality
-h^{p,q} = h^{n-p,n-q} holds for Dolbeault (conjugate Dolbeault) once delbar
-(del) vanishes into (n, n), and b_k = b_{2n-k} once d vanishes on degree
-2n - 1, that is, g is unimodular, as every nilpotent g is (Angella, LNM
-2095).  :func:`hodge_table` then computes one half and copies the other,
-and :func:`derham_betti` builds d only below degree n.  Single groups are
-always computed in full.
+Each theory's row of :data:`THEORY_TABLE` names its mirror.  Conjugation,
+a_S ^ ~a_T -> (-1)^(|S||T|) a_T ^ ~a_S, commutes with d by construction
+(``d ~a_j = conj(d a_j)``) and swaps del and delbar, so Bott-Chern and
+Aeppli tables are always symmetric in (p, q).  Serre duality
+h^{p,q} = h^{n-p,n-q} for the Dolbeault theories and b_k = b_{2n-k} hold
+once d vanishes on degree 2n - 1 (:func:`_unimodular`), as it does for
+every nilpotent g (Angella, LNM 2095).  :func:`hodge_table` computes one
+half of a mirrored table and copies the other, and :func:`derham_betti`
+builds d only below degree n.  Single groups are always computed in full.
 
 Each hodge table carries a validity flag: ``nilpotent_J`` when the
 nilpotency filtration closes at the full degree-one space (for those specs
@@ -49,6 +48,7 @@ from math import comb
 from .algebra import (
     AlgebraSpec,
     _d_terms,
+    _per_spec,
     _term_tables,
     differential_matrix,
     jacobi_failures,
@@ -65,53 +65,6 @@ from .linalg import (
     vstack,
 )
 
-# theory -> (JSON key and short CLI name, kernel operators, image operators),
-# an operator (op, dp, dq) being operator_matrix(spec, op, p + dp, q + dq)
-THEORY_TABLE = {
-    "dolbeault": ("dolbeault", (("delbar", 0, 0),), (("delbar", 0, -1),)),
-    "conj_dolbeault": ("conj_dolbeault", (("del", 0, 0),), (("del", -1, 0),)),
-    "bott_chern": ("bc", (("del", 0, 0), ("delbar", 0, 0)), (("deldelbar", -1, -1),)),
-    "aeppli": ("aeppli", (("deldelbar", 0, 0),), (("del", -1, 0), ("delbar", 0, -1))),
-}
-THEORIES = tuple(THEORY_TABLE)
-
-
-def _annihilates(spec: AlgebraSpec, dp, masks) -> bool:
-    """Whether d (dp None), del (dp 1) or delbar (dp 0) is zero on every
-    monomial of ``masks``, that is, its matrix out of them has no nonzeros."""
-    table = _term_tables(spec)[1][dp]
-    return not any(_d_terms(table, {m: (1, 0)}) for m in masks)
-
-
-def _conjugate_mask(n: int, mask: int):
-    """``(mask', sign)``: conj(a_S ^ ~a_T) = sign a_T ^ ~a_S, sign = (-1)^(|S||T|)."""
-    s, t = mask & ((1 << n) - 1), mask >> n
-    return t | s << n, -1 if s.bit_count() * t.bit_count() & 1 else 1
-
-
-def _commutes_with_conjugation(spec: AlgebraSpec, n: int) -> bool:
-    """Whether the term table of d at each generator's conjugate is the
-    conjugate of its term table: then conj . d = d . conj on generators and,
-    d being an anti-derivation, on all forms."""
-    images = {
-        b: {g: (re, im) for g, _, re, im in placed} for b, placed in _term_tables(spec)[1][None]
-    }
-    for b, image in images.items():
-        mirrored = {}
-        for g, (re, im) in image.items():
-            w, sign = _conjugate_mask(n, g)
-            mirrored[w] = (sign * re, -sign * im)
-        if images.get(_conjugate_mask(n, b)[0]) != mirrored:
-            return False
-    return True
-
-
-def _unimodular(spec: AlgebraSpec) -> bool:
-    """Whether d is zero on degree 2n - 1, as it is for every nilpotent g:
-    then d on degree k is adjoint to d on degree 2n - 1 - k under the wedge
-    pairing into degree 2n, and the two have one rank."""
-    return _annihilates(spec, None, degree_masks(spec.n, 2 * spec.n - 1))
-
 
 def _serre(n, p, q):
     return n - p, n - q
@@ -121,16 +74,33 @@ def _swap(n, p, q):
     return q, p
 
 
-# theory -> (the mirror of (p, q) in dimension n, the exact check on a spec
-# that h^{p,q} equals h at the mirror for every (p, q)); under the wedge
-# pairing into (n, n), delbar (del) is adjoint to itself across
-# complementary bidegrees once it is zero out of (n, n-1) ((n-1, n)).
-MIRRORS = {
-    "dolbeault": (_serre, lambda spec, n: _annihilates(spec, 0, component_masks(n, n, n - 1))),
-    "conj_dolbeault": (_serre, lambda spec, n: _annihilates(spec, 1, component_masks(n, n - 1, n))),
-    "bott_chern": (_swap, _commutes_with_conjugation),
-    "aeppli": (_swap, _commutes_with_conjugation),
+# theory -> (JSON key and short CLI name, kernel operators, image operators,
+# mirror of (p, q) in dimension n), an operator (op, dp, dq) being
+# operator_matrix(spec, op, p + dp, q + dq)
+THEORY_TABLE = {
+    "dolbeault": ("dolbeault", (("delbar", 0, 0),), (("delbar", 0, -1),), _serre),
+    "conj_dolbeault": ("conj_dolbeault", (("del", 0, 0),), (("del", -1, 0),), _serre),
+    "bott_chern": ("bc", (("del", 0, 0), ("delbar", 0, 0)), (("deldelbar", -1, -1),), _swap),
+    "aeppli": ("aeppli", (("deldelbar", 0, 0),), (("del", -1, 0), ("delbar", 0, -1)), _swap),
 }
+THEORIES = tuple(THEORY_TABLE)
+
+
+def _theory(theory: str):
+    """The row of :data:`THEORY_TABLE` for ``theory`` (ValueError if none)."""
+    if theory not in THEORY_TABLE:
+        raise ValueError("unknown theory %r (choose from %s)" % (theory, THEORIES))
+    return THEORY_TABLE[theory]
+
+
+def _unimodular(spec: AlgebraSpec) -> bool:
+    """Whether d is zero on degree 2n - 1, as it is for every nilpotent g:
+    then d on degree k is adjoint to d on degree 2n - 1 - k under the wedge
+    pairing into degree 2n, and the two have one rank.  There d is delbar
+    out of (n, n-1) plus del out of (n-1, n), which conjugation swaps, so
+    each vanishes exactly when d does, and Serre duality holds for both."""
+    table = _term_tables(spec)[1][None]
+    return not any(_d_terms(table, {m: (1, 0)}) for m in degree_masks(spec.n, 2 * spec.n - 1))
 
 
 class HodgeTable:
@@ -145,38 +115,26 @@ class HodgeTable:
         self.validity = validity  # "nilpotent_J" | "ce_only"
 
 
+@_per_spec
 def operator_matrix(spec: AlgebraSpec, op: str, p: int, q: int) -> IndexedMatrix:
     """Matrix of del / delbar / deldelbar out of the (p,q) component."""
-    key = (op, p, q)
-    cache = spec._caches.setdefault("matrices", {})
-    cached = cache.get(key)
-    if cached is not None:
-        return cached
     n = spec.n
     if op == "del":
-        out = differential_matrix(spec, component_masks(n, p, q), component_masks(n, p + 1, q), 1)
-    elif op == "delbar":
-        out = differential_matrix(spec, component_masks(n, p, q), component_masks(n, p, q + 1), 0)
-    elif op == "deldelbar":
-        out = operator_matrix(spec, "del", p, q + 1) @ operator_matrix(spec, "delbar", p, q)
-    else:
-        raise ValueError("unknown operator %r" % op)
-    cache[key] = out
-    return out
+        return differential_matrix(spec, component_masks(n, p, q), component_masks(n, p + 1, q), 1)
+    if op == "delbar":
+        return differential_matrix(spec, component_masks(n, p, q), component_masks(n, p, q + 1), 0)
+    if op == "deldelbar":
+        return operator_matrix(spec, "del", p, q + 1) @ operator_matrix(spec, "delbar", p, q)
+    raise ValueError("unknown operator %r" % op)
 
 
+@_per_spec
 def d_matrix(spec: AlgebraSpec, k: int) -> IndexedMatrix:
     """Matrix of the total differential on degree k."""
-    key = ("d", k)
-    cache = spec._caches.setdefault("matrices", {})
-    cached = cache.get(key)
-    if cached is not None:
-        return cached
-    out = differential_matrix(spec, degree_masks(spec.n, k), degree_masks(spec.n, k + 1))
-    cache[key] = out
-    return out
+    return differential_matrix(spec, degree_masks(spec.n, k), degree_masks(spec.n, k + 1))
 
 
+@_per_spec
 def _theory_operators(spec: AlgebraSpec, theory: str, p: int, q: int):
     """``(kernel_of, image)``: h^{p,q} of the theory is the dimension of
     ker(kernel_of) modulo the span of image's columns.
@@ -184,45 +142,38 @@ def _theory_operators(spec: AlgebraSpec, theory: str, p: int, q: int):
     kernel_of stacks the theory's kernel operators with ``vstack`` (for
     Bott-Chern, del and delbar out of (p,q), whose common kernel is the
     d-closed (p,q)-forms) and image joins its image operators with
-    ``hstack``.  The pair is kept in the spec's matrix cache beside the
-    operators, so each group is built and ranked once.
+    ``hstack``.  The pair is built once per spec, so each group is ranked
+    once.  Out of range, every operator has an empty basis and the group is 0.
     """
-    cache = spec._caches.setdefault("matrices", {})
-    key = (theory, p, q)
-    pair = cache.get(key)
-    if pair is None:
-        if theory not in THEORY_TABLE:
-            raise ValueError("unknown theory %r (choose from %s)" % (theory, THEORIES))
-        _, kernel, image = THEORY_TABLE[theory]
+    _, kernel, image, _ = _theory(theory)
 
-        def join(stack, ops):
-            return stack(*(operator_matrix(spec, op, p + dp, q + dq) for op, dp, dq in ops))
+    def join(stack, ops):
+        return stack(*(operator_matrix(spec, op, p + dp, q + dq) for op, dp, dq in ops))
 
-        pair = cache[key] = (join(vstack, kernel), join(hstack, image))
-    return pair
+    return join(vstack, kernel), join(hstack, image)
 
 
 def hodge_number(spec: AlgebraSpec, theory: str, p: int, q: int) -> int:
-    if not (0 <= p <= spec.n and 0 <= q <= spec.n):
-        return 0
     return subquotient_dim(*_theory_operators(spec, theory, p, q))
 
 
 def hodge_table(spec: AlgebraSpec, theory: str) -> HodgeTable:
-    """Every h^{p,q} of the theory (ValueError unless d.d = 0).  With a
-    certified mirror (:data:`MIRRORS`) an entry whose mirror comes earlier
-    in row order copies it; every other entry is :func:`hodge_number`."""
+    """Every h^{p,q} of the theory (ValueError unless d.d = 0).  When the
+    theory's mirror applies, an entry whose mirror comes earlier in row
+    order copies it; every other entry is :func:`hodge_number`.  The
+    conjugation mirror of Bott-Chern and Aeppli always applies; the Serre
+    mirror of the Dolbeault theories only on a :func:`_unimodular` spec."""
     report = validate(spec)
     if not report.jacobi_ok:
         raise ValueError("spec fails the Jacobi check; no cohomology defined")
     n = spec.n
-    mirror, certificate = MIRRORS.get(theory, (None, None))
-    certified = mirror is not None and certificate(spec, n)
+    mirror = _theory(theory)[3]
+    mirrored = mirror is _swap or _unimodular(spec)
     entries = []
     for p in range(n + 1):
         entries.append([])
         for q in range(n + 1):
-            mp, mq = mirror(n, p, q) if certified else (p, q)
+            mp, mq = mirror(n, p, q) if mirrored else (p, q)
             if (mp, mq) < (p, q):
                 entries[p].append(entries[mp][mq])
             else:
@@ -271,8 +222,6 @@ def class_representatives(spec: AlgebraSpec, theory: str, p: int, q: int):
     closure conditions exactly) chosen greedily past the span of the exact
     part; the choice is deterministic in the canonical basis order.
     """
-    if not (0 <= p <= spec.n and 0 <= q <= spec.n):
-        return []
     kernel_of, image = _theory_operators(spec, theory, p, q)
     vectors = _kernel_vectors(kernel_of)
     chosen = greedy_complement(image, vectors)
@@ -288,8 +237,6 @@ def natural_map_rank(spec: AlgebraSpec, p: int, q: int) -> int:
     is computed from ranks of concatenated operators."""
     h_bc = hodge_number(spec, "bott_chern", p, q)
     image = _theory_operators(spec, "aeppli", p, q)[1]
-    if image.ncols == 0:
-        return h_bc
     closed, exact = _theory_operators(spec, "bott_chern", p, q)
     intersection_dim = rank(image) - rank(closed @ image)
     kernel_dim = intersection_dim - rank(exact)

@@ -79,6 +79,15 @@ def random_layered(rng, n):
     return AlgebraSpec("layer", n, diffs)
 
 
+# Structure files of non-unimodular specs (d is nonzero on degree 2n - 1),
+# so g is not nilpotent: Serre and Poincare duality fail on them.
+NON_UNIMODULAR = {
+    "nu": "algebra nu dim 1\nd a1 = (1) * a1 ^ ~a1\n",
+    "solv3": "algebra solv3 dim 3\nd a2 = (-1) * a1 ^ a2\nd a3 = (-i) * a1 ^ a3\n",
+    "mixed3": "algebra mixed3 dim 3\nd a1 = (i) * a2 ^ a3 + (i) * a1 ^ a2\nd a3 = (1) * a2 ^ ~a2\n",
+}
+
+
 def rand_rational(rng):
     """A Gaussian rational over denominators drawn from 1, 2, 3 and 5."""
     return rand_gauss_over(rng, (1, 2, 3, 5))

@@ -18,9 +18,9 @@ from nilcoh.catalog import (
     torus_spec,
 )
 from nilcoh.cohomology import (
-    MIRRORS,
     THEORIES,
-    _commutes_with_conjugation,
+    THEORY_TABLE,
+    _swap,
     _theory_operators,
     _unimodular,
     class_representatives,
@@ -38,7 +38,13 @@ from nilcoh.obstructions import holomorphic_one_forms
 from nilcoh.scalars import GaussianRational
 
 from oracle import OracleAlgebra, scalar_to_sympy
-from generators import basis_forms, rand_gauss_over, random_layered, random_two_step
+from generators import (
+    NON_UNIMODULAR,
+    basis_forms,
+    rand_gauss_over,
+    random_layered,
+    random_two_step,
+)
 from test_algebra import rand_valid_spec
 
 
@@ -208,6 +214,21 @@ def test_hodge_number_outside_range_is_zero():
     assert hodge_number(iw, "aeppli", 0, 5) == 0
 
 
+def test_unknown_theory_is_refused_in_and_out_of_range():
+    """Out of range a known theory gives 0 and no representatives, and an
+    unknown one is refused there as it is in range."""
+    iw = iwasawa_spec()
+    for p, q in ((9, 9), (-1, 0), (1, 1)):
+        with pytest.raises(ValueError, match="unknown theory"):
+            hodge_number(iw, "bogus", p, q)
+        with pytest.raises(ValueError, match="unknown theory"):
+            class_representatives(iw, "bogus", p, q)
+    for theory in THEORIES:
+        for p, q in ((9, 9), (-1, 0), (4, 1), (2, -1)):
+            assert hodge_number(iw, theory, p, q) == 0
+            assert class_representatives(iw, theory, p, q) == []
+
+
 def test_invalid_spec_is_refused():
     from nilcoh.algebra import AlgebraSpec
 
@@ -333,16 +354,17 @@ def test_operator_assembly_builds_no_basis_form(monkeypatch):
 
     monkeypatch.setattr(BasisForm, "__init__", spy)
     n = spec.n
+    kept = {}
     for p in range(-1, n + 2):
         for q in range(-1, n + 2):
             for op in ("del", "delbar", "deldelbar"):
-                operator_matrix(spec, op, p, q)
+                kept[operator_matrix, op, p, q] = operator_matrix(spec, op, p, q)
             for theory in THEORIES:
-                _theory_operators(spec, theory, p, q)
+                kept[_theory_operators, theory, p, q] = _theory_operators(spec, theory, p, q)
     for k in range(-1, 2 * n + 2):
-        d_matrix(spec, k)
+        kept[d_matrix, k] = d_matrix(spec, k)
     assert built == []
-    assert spec._caches["matrices"]
+    assert all(build(spec, *args) is out for (build, *args), out in kept.items())
     BasisForm((1,), (2,))
     assert built == [((1,), (2,))]
 
@@ -505,15 +527,6 @@ def test_representatives_and_holomorphic_forms_equal_a_rational_reference():
                     assert len(got) == hodge_number(spec, theory, p, q)
 
 
-# Non-unimodular structures (d is nonzero on degree 2n - 1), so g is not
-# nilpotent: Serre and Poincare duality fail on them.
-NON_UNIMODULAR = {
-    "nu": "algebra nu dim 1\nd a1 = (1) * a1 ^ ~a1\n",
-    "solv3": "algebra solv3 dim 3\nd a2 = (-1) * a1 ^ a2\nd a3 = (-i) * a1 ^ a3\n",
-    "mixed3": "algebra mixed3 dim 3\nd a1 = (i) * a2 ^ a3 + (i) * a1 ^ a2\nd a3 = (1) * a2 ^ ~a2\n",
-}
-
-
 def _long_way(spec):
     """Every table of ``spec`` with each entry computed on its own, on a
     copy of the spec that shares no cache with it: {theory: entries}, and
@@ -535,9 +548,12 @@ def _tables(spec):
 
 
 def _certificates(spec):
-    return {theory: certified(spec, spec.n) for theory, (_, certified) in MIRRORS.items()} | {
-        "derham": _unimodular(spec)
-    }
+    """Whether each table, and under "derham" the Betti numbers, may be
+    mirrored on ``spec``: always for conjugation, else when unimodular."""
+    unimodular = _unimodular(spec)
+    return {
+        theory: row[3] is _swap or unimodular for theory, row in THEORY_TABLE.items()
+    } | {"derham": unimodular}
 
 
 def _mirror_specs():
@@ -620,30 +636,6 @@ def test_uncertified_mirrors_keep_asymmetric_entries():
             assert any(t[p][q] != t[n - p][n - q] for p in range(n + 1) for q in range(n + 1))
 
 
-def test_conjugation_certificate_refuses_a_broken_term_table():
-    spec = parse_structure_file(
-        "algebra conj dim 3\nd a3 = (1-i) * a1 ^ a2 + (1/2+i) * a1 ^ ~a2\n"
-    )
-    assert _commutes_with_conjugation(spec, spec.n)
-    den, tables = spec._caches["terms"]
-    anti = [(b, placed) for b, placed in tables[None] if b >> spec.n]
-    holo = [(b, placed) for b, placed in tables[None] if not b >> spec.n]
-    (b, placed), = anti
-
-    def tampered(*terms):
-        return holo + ([(b, tuple(terms))] if terms else [])
-
-    broken = [
-        tampered(*((g, s, -re, -im) for g, s, re, im in placed)),  # sign flipped
-        tampered(*((g, s, re, -im) for g, s, re, im in placed)),  # not conjugated
-        tampered(*placed[:1]),  # a term dropped
-        tampered(),  # no differential at ~a3
-    ]
-    for table in broken:
-        spec._caches["terms"] = (den, {**tables, None: tuple(table)})
-        assert not _commutes_with_conjugation(spec, spec.n)
-
-
 def _domain_degrees(monkeypatch):
     """(p, q) of the domain of every differential_matrix built from now on."""
     import nilcoh.cohomology
@@ -659,6 +651,16 @@ def _domain_degrees(monkeypatch):
 
     monkeypatch.setattr(nilcoh.cohomology, "differential_matrix", spy)
     return built
+
+
+def test_a_second_table_builds_no_matrix(monkeypatch):
+    spec = parse_structure_file("algebra memo dim 3\nd a3 = (1) * a1 ^ a2 + (1/2-i) * a1 ^ ~a2\n")
+    built = _domain_degrees(monkeypatch)
+    first = {theory: hodge_table(spec, theory).entries for theory in THEORIES}
+    assert built
+    built.clear()
+    assert {theory: hodge_table(spec, theory).entries for theory in THEORIES} == first
+    assert built == []
 
 
 def test_certified_tables_build_only_their_half(monkeypatch):

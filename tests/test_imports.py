@@ -157,6 +157,46 @@ def test_rational_views_stay_at_the_edge():
     assert found == {}
 
 
+def cache_reads(source: str) -> list:
+    """Names of the top-level functions of ``source`` that read an
+    attribute ``_caches`` (None for a read outside any of them)."""
+    tree = ast.parse(source)
+    owner = {
+        id(inner): node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        for inner in ast.walk(node)
+    }
+    return sorted(
+        {
+            owner.get(id(node))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "_caches"
+        },
+        key=str,
+    )
+
+
+def test_cache_reads_are_found():
+    source = (
+        "def f(spec):\n    return spec._caches\n"
+        "def g(spec):\n    def h():\n        return spec._caches.get(1)\n"
+        "x = s._caches\n"
+    )
+    assert cache_reads(source) == [None, "f", "g"]
+
+
+def test_only_one_helper_reads_the_spec_caches():
+    """Every per-spec memo goes through ``algebra._per_spec``: no other
+    function of the package reads a spec's ``_caches``."""
+    found = {
+        p.name: names
+        for p in sorted(PACKAGE.glob("*.py"))
+        if (names := cache_reads(p.read_text(encoding="utf-8")))
+    }
+    assert found == {"algebra.py": ["_per_spec"]}
+
+
 def test_nested_imports_are_found():
     source = (
         "import json\n"
