@@ -10,7 +10,7 @@ astheno-Kahler, generalized pluriclosed), and runs obstruction tests for
 the existence of special metrics.
 """
 
-from .algebra import AlgebraSpec, ValidationReport, d, del_, delbar, deldelbar, direct_sum, validate
+from .algebra import AlgebraSpec, NotAComplex, ValidationReport, d, del_, delbar, deldelbar, direct_sum, validate
 from .catalog import CatalogEntry, CatalogKeyError, Fixture, catalog_get, catalog_list, run_suite
 from .cohomology import (
     THEORIES,
@@ -74,6 +74,7 @@ __all__ = [
     "KunnethResult",
     "LFunctional",
     "MetricForm",
+    "NotAComplex",
     "ObstructionReport",
     "StructureSyntaxError",
     "THEORIES",

@@ -22,7 +22,8 @@ The bases of those matrices are tuples of masks, which label their rows
 and columns, so building one makes no :class:`~nilcoh.forms.BasisForm`.
 
 The Jacobi identity of the dual Lie algebra is exactly ``d . d = 0``, and
-on an anti-derivation that only needs checking on generators.
+on an anti-derivation that only needs checking on generators.  A spec that
+fails it is no complex: :func:`require_complex` then raises :class:`NotAComplex`.
 
 The nilpotency flag reads the series ``S_l = { phi : d phi in
 Lambda^2(S_{l-1}) }`` of one-forms, S_0 = 0.  As d phi(X, Y) =
@@ -144,14 +145,18 @@ def _per_spec(build):
 class ValidationReport:
     """Outcome of the Jacobi check plus the nilpotency flag data."""
 
-    __slots__ = ("jacobi_ok", "failing_generators", "nilpotent_J", "filtration")
+    __slots__ = ("failing_generators", "nilpotent_J", "filtration")
 
-    def __init__(self, jacobi_ok, failing_generators=None, nilpotent_J=False, filtration=None):
-        self.jacobi_ok = jacobi_ok
+    def __init__(self, failing_generators=None, nilpotent_J=False, filtration=None):
         # (index, d2 Form) pairs
         self.failing_generators = [] if failing_generators is None else failing_generators
         self.nilpotent_J = nilpotent_J
         self.filtration = [] if filtration is None else filtration
+
+    @property
+    def jacobi_ok(self) -> bool:
+        """Whether d.d = 0: no generator fails the Jacobi check."""
+        return not self.failing_generators
 
     @property
     def validity(self) -> str:
@@ -290,7 +295,8 @@ def differential_matrix(spec: AlgebraSpec, domain, codomain, dp=None) -> Indexed
     image that lie in the codomain, as Gaussian integers over the term
     table's L.  A codomain of one bidegree (p+1, q) with dp = 1 gives del,
     (p, q+1) with dp = 0 gives delbar, and one of one total degree with
-    dp = None gives d."""
+    dp = None gives d.  Passes the gate :func:`require_complex` first."""
+    require_complex(spec)
     den, tables = _term_tables(spec)
     table = tables[dp]
     index = {w: i for i, w in enumerate(codomain)}
@@ -356,14 +362,28 @@ def jacobi_failures(spec: AlgebraSpec) -> list:
     return [(i, dd) for i in range(1, spec.n + 1) if (dd := d(spec, spec.d_alpha(i)))]
 
 
+class NotAComplex(ValueError):
+    """d.d != 0 on ``spec``: no cohomology group or metric condition is defined."""
+
+    def __init__(self, spec: AlgebraSpec):
+        super().__init__("spec fails the Jacobi check; no cohomology defined")
+        self.spec = spec
+
+
+def require_complex(spec: AlgebraSpec) -> None:
+    """The one Jacobi gate: raise :class:`NotAComplex` unless d.d = 0."""
+    if jacobi_failures(spec):
+        raise NotAComplex(spec)
+
+
 @_per_spec
 def validate(spec: AlgebraSpec) -> ValidationReport:
     """Jacobi check (d.d = 0 on generators) plus the nilpotency flag."""
     failing = jacobi_failures(spec)
     if failing:
-        return ValidationReport(jacobi_ok=False, failing_generators=failing)
+        return ValidationReport(failing_generators=failing)
     nilpotent, dims = nilpotency_filtration(spec)
-    return ValidationReport(jacobi_ok=True, nilpotent_J=nilpotent, filtration=dims)
+    return ValidationReport(nilpotent_J=nilpotent, filtration=dims)
 
 
 def direct_sum(a: AlgebraSpec, b: AlgebraSpec) -> AlgebraSpec:

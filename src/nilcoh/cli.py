@@ -21,7 +21,7 @@ import json
 import sys
 from types import SimpleNamespace
 
-from .algebra import ValidationReport, direct_sum, jacobi_failures, validate
+from .algebra import NotAComplex, direct_sum, validate
 from .catalog import CatalogKeyError, catalog_get, catalog_list, run_suite
 from .cohomology import THEORY_TABLE, derham_betti, hodge_table
 from .dsl import StructureSyntaxError, format_structure_file, read_structure_file
@@ -90,20 +90,6 @@ def _metric_from_args(args, n: int) -> MetricForm:
     return diagonal_metric(n)
 
 
-def _refuse_invalid(spec) -> bool:
-    """True when ``spec`` fails the Jacobi check, after printing its
-    validation payload (the command then exits 1); False otherwise.  Only
-    d.d on the generators is checked, not the nilpotency flag."""
-    failing = jacobi_failures(spec)
-    if not failing:
-        return False
-    payload = spec_header(spec)
-    report = ValidationReport(jacobi_ok=False, failing_generators=failing)
-    payload.update(validation_json(report))
-    sys.stdout.write(emit_report(payload))
-    return True
-
-
 def _cmd_validate(args) -> int:
     spec = read_structure_file(args.file)
     report = validate(spec)
@@ -131,8 +117,6 @@ def _cmd_table(args) -> int:
             % (args.theory, ", ".join(sorted(_THEORY_ALIASES)))
         )
     spec = read_structure_file(args.file)
-    if _refuse_invalid(spec):
-        return 1
     payload = spec_header(spec)
     if theory == "derham":
         betti = derham_betti(spec)
@@ -159,9 +143,6 @@ def _cmd_metric(args) -> int:
     spec = read_structure_file(args.file)
     metric = _metric_from_args(args, spec.n)
     result = check_condition(spec, metric, args.check)
-    # refused only after --check is read, so a malformed option exits 2
-    if _refuse_invalid(spec):
-        return 1
     verdict = check_json(result)
     verdict["positive"] = metric.is_positive()
     payload = spec_header(spec)
@@ -175,9 +156,6 @@ def _cmd_obstruct(args) -> int:
     metric = None
     if args.diag is not None or args.hmatrix is not None:
         metric = _metric_from_args(args, spec.n)
-    # refused only after the metric is read, so a malformed option exits 2
-    if _refuse_invalid(spec):
-        return 1
     report = obstruction_report(spec, metric)
     verdicts = obstruction_json(report)
     if metric is not None:
@@ -395,6 +373,11 @@ def main(argv=None) -> int:
     except CatalogKeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
+    except NotAComplex as exc:
+        payload = spec_header(exc.spec)
+        payload.update(validation_json(validate(exc.spec)))
+        sys.stdout.write(emit_report(payload))
+        return 1
     except (ValueError, KeyError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -51,7 +51,6 @@ from .algebra import (
     _per_spec,
     _term_tables,
     differential_matrix,
-    jacobi_failures,
     validate,
 )
 from .forms import _mask_form, component_masks, degree_masks
@@ -158,14 +157,12 @@ def hodge_number(spec: AlgebraSpec, theory: str, p: int, q: int) -> int:
 
 
 def hodge_table(spec: AlgebraSpec, theory: str) -> HodgeTable:
-    """Every h^{p,q} of the theory (ValueError unless d.d = 0).  When the
+    """Every h^{p,q} of the theory (NotAComplex unless d.d = 0).  When the
     theory's mirror applies, an entry whose mirror comes earlier in row
     order copies it; every other entry is :func:`hodge_number`.  The
     conjugation mirror of Bott-Chern and Aeppli always applies; the Serre
     mirror of the Dolbeault theories only on a :func:`_unimodular` spec."""
     report = validate(spec)
-    if not report.jacobi_ok:
-        raise ValueError("spec fails the Jacobi check; no cohomology defined")
     n = spec.n
     mirror = _theory(theory)[3]
     mirrored = mirror is _swap or _unimodular(spec)
@@ -187,12 +184,10 @@ def hodge_table(spec: AlgebraSpec, theory: str) -> HodgeTable:
 
 
 def derham_betti(spec: AlgebraSpec) -> list:
-    """Betti numbers b_0 .. b_{2n} of the total complex (ValueError unless d.d = 0).
+    """Betti numbers b_0 .. b_{2n} of the total complex (NotAComplex unless d.d = 0).
 
     On a unimodular spec rank d_k = rank d_{2n-1-k}, so b_{2n-k} = b_k and
     b_n = C(2n, n) - 2 rank d_{n-1}: only d_{-1} .. d_{n-1} are built."""
-    if jacobi_failures(spec):
-        raise ValueError("spec fails the Jacobi check; no cohomology defined")
     n = spec.n
     unimodular = _unimodular(spec)
     betti = [

@@ -72,9 +72,9 @@ _GR_ZERO = GaussianRational(0)
 class ContainmentError(Exception):
     """An "image" vector fell outside the kernel it must land in.
 
-    This signals an inconsistent complex (an upstream validation bug), not
-    bad user input.  ``witness`` is the offending domain vector and
-    ``value`` its nonzero image under the kernel operator.
+    Operator matrices exist only on a spec that passed the Jacobi gate, so
+    this is a fault of the package, not of its input.  ``witness`` is the
+    offending domain vector and ``value`` its image under the kernel operator.
     """
 
     def __init__(self, message, witness, value):

@@ -49,7 +49,7 @@ from fractions import Fraction
 from itertools import product
 from math import factorial
 
-from .algebra import AlgebraSpec, _apply
+from .algebra import AlgebraSpec, _apply, parse_dimension, require_complex
 from .forms import Form, _mask_form
 from .linalg import _echelon, _integer_rows
 from .scalars import GaussianRational
@@ -226,7 +226,7 @@ class CheckResult:
 
 
 def check_condition(spec: AlgebraSpec, m: MetricForm, cond: str) -> CheckResult:
-    """Decide a closedness condition for omega on the given spec."""
+    """Decide a closedness condition for omega on the spec (NotAComplex unless d.d = 0)."""
     if m.n != spec.n:
         raise ValueError(
             "metric has dimension %d but the spec has %d" % (m.n, spec.n)
@@ -234,12 +234,13 @@ def check_condition(spec: AlgebraSpec, m: MetricForm, cond: str) -> CheckResult:
     name = cond.strip()
     if name.startswith("pluriclosed"):
         head, _, text = name.partition(":")
-        digits = text.lstrip("0")
-        # ASCII digits only, and no more of them than n has, before int()
-        short = text.isascii() and text.isdigit() and len(digits) <= len(str(spec.n))
-        if head != "pluriclosed" or not (short and 1 <= int(digits or "0") <= spec.n):
+        try:
+            k = parse_dimension(text)
+        except ValueError:
+            k = 0
+        if head != "pluriclosed" or not 0 < k <= spec.n:
             raise ValueError("pluriclosed:K needs K in 1..%d, in digits 0-9" % spec.n)
-        return _pluriclosed(spec, m, name, spec.n - int(digits))
+        return _pluriclosed(spec, m, name, spec.n - k)
     if name in ("ftpair", "ft_pair"):
         first = _pluriclosed(spec, m, "ft_pair", 1)
         return _pluriclosed(spec, m, "ft_pair", 2) if first.holds else first
@@ -259,7 +260,9 @@ def check_condition(spec: AlgebraSpec, m: MetricForm, cond: str) -> CheckResult:
 
 def _pluriclosed(spec, m, label, exponent, dps=(0, 1)) -> CheckResult:
     """Witness of ``label``: omega^exponent after the term tables ``dps``
-    (delbar, then del, by default); true with none for an exponent below 1."""
+    (delbar, then del, by default); true with none for an exponent below 1,
+    but like every condition refused on a spec that is no complex."""
+    require_complex(spec)
     if exponent <= 0:
         return CheckResult(label, True, Form())
     w = _apply(spec, *m._power(exponent), *dps)

@@ -189,8 +189,7 @@ def _l_functional(spec: AlgebraSpec, m: MetricForm) -> LFunctional:
 def torality_check(spec: AlgebraSpec) -> str:
     """not_applicable unless nilpotent_J; otherwise gap 0 must mean all
     generator differentials vanish (abelian)."""
-    report = validate(spec)
-    if not (report.jacobi_ok and report.nilpotent_J):
+    if not validate(spec).nilpotent_J:
         return "not_applicable"
     gv = gap_verdict(spec)
     if gv.gap == 0 and not spec.is_abelian():
@@ -220,14 +219,12 @@ def kunneth_check(a: AlgebraSpec, b: AlgebraSpec) -> KunnethResult:
 
 
 def obstruction_report(spec: AlgebraSpec, metric: MetricForm | None = None) -> ObstructionReport:
-    """Assemble all obstruction data for one spec (and optional metric).
+    """Assemble all obstruction data for one spec (NotAComplex unless d.d = 0).
 
     With a metric: the Gauduchon condition is checked first and the L
     functional only computed when it holds (otherwise l_rank is omitted).
     """
     report = validate(spec)
-    if not report.jacobi_ok:
-        raise ValueError("spec fails the Jacobi check; obstructions undefined")
     gv = gap_verdict(spec)
     jy = jost_yau(spec)
     excluded_by = []

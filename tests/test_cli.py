@@ -7,7 +7,7 @@ import pytest
 
 from nilcoh.algebra import MAX_DIM
 from nilcoh.catalog import iwasawa_spec, kodaira_spec, nakamura_ce_spec, torus_spec
-from nilcoh.cli import main
+from nilcoh.cli import _THEORY_ALIASES, main
 from nilcoh.dsl import format_structure_file, parse_structure_file
 
 
@@ -220,7 +220,7 @@ def test_malformed_hmatrix_exits_two(files, capsys, tmp_path, payload):
 
 
 @pytest.mark.parametrize(
-    "k", ["-3", "0", "4", "\u0662", "0_2", "+2", " 2", "9" * 5000]
+    "k", ["-3", "0", "4", "\u0662", "0_2", "+2", " 2", "9" * 5000, "", "64", "65"]
 )
 def test_pluriclosed_out_of_range_exits_two(files, capsys, k):
     code, out, err = run(
@@ -273,13 +273,29 @@ def test_obstruct_on_a_jacobi_failure_exits_one_like_table(nonjacobi, capsys, me
 
 
 @pytest.mark.parametrize(
-    "check", [["gauduchon"], ["astheno", "--diag", "1,2,1"], ["pluriclosed:1"]]
+    "check",
+    [
+        ["gauduchon"],
+        ["astheno", "--diag", "1,2,1"],
+        ["pluriclosed:1"],
+        ["pluriclosed:3"],  # exponent 0: true without computing, refused all the same
+        ["ft_pair"],
+        ["kahler"],
+    ],
 )
 def test_metric_on_a_jacobi_failure_exits_one_like_table(nonjacobi, capsys, check):
     table_code, table_out, _ = run(capsys, ["table", nonjacobi])
     code, out, err = run(capsys, ["metric", nonjacobi, "--check"] + check)
     assert table_code == 1 and code == 1
     assert out == table_out and err == ""
+
+
+@pytest.mark.parametrize("pretty", [[], ["--pretty"]])
+@pytest.mark.parametrize("theory", sorted(_THEORY_ALIASES))
+def test_table_of_every_theory_on_a_jacobi_failure_exits_one(nonjacobi, capsys, theory, pretty):
+    default = run(capsys, ["table", nonjacobi])
+    assert run(capsys, ["table", nonjacobi, "--theory", theory] + pretty) == default
+    assert default[0] == 1 and default[2] == ""
 
 
 @pytest.mark.parametrize(

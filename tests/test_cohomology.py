@@ -7,7 +7,7 @@ import pytest
 from sympy import QQ_I
 from sympy.polys.matrices import DomainMatrix
 
-from nilcoh.algebra import d, del_, delbar, deldelbar, validate
+from nilcoh.algebra import AlgebraSpec, NotAComplex, d, del_, delbar, deldelbar, validate
 from nilcoh.catalog import (
     catalog_get,
     catalog_list,
@@ -34,7 +34,16 @@ from nilcoh.cohomology import (
 from nilcoh.dsl import parse_structure_file
 from nilcoh.forms import BasisForm, Form, alpha, alphabar, component_masks, degree_masks
 from nilcoh.linalg import IndexedMatrix, hstack, kernel_basis, rank, subquotient_dim, vstack
-from nilcoh.obstructions import holomorphic_one_forms
+from nilcoh.metrics import check_condition, diagonal_metric, scan_diagonal_metrics
+from nilcoh.obstructions import (
+    gap_verdict,
+    holomorphic_one_forms,
+    jost_yau,
+    kunneth_check,
+    l_functional,
+    obstruction_report,
+    torality_check,
+)
 from nilcoh.scalars import GaussianRational
 
 from oracle import OracleAlgebra, scalar_to_sympy
@@ -74,14 +83,42 @@ def test_kodaira_numbers():
     assert derham_betti(ko) == [1, 3, 4, 3, 1]
 
 
-def test_jacobi_failing_spec_has_no_cohomology():
-    spec = parse_structure_file(
-        "algebra bad dim 2\nd a1 = (1) * a1 ^ a2\nd a2 = (1) * a1 ^ ~a1\n"
-    )
-    assert not validate(spec).jacobi_ok
-    for compute in (lambda: hodge_table(spec, "dolbeault"), lambda: derham_betti(spec)):
-        with pytest.raises(ValueError, match="fails the Jacobi check"):
-            compute()
+# every public computation on a complex, by name, as a function of the spec;
+# the metric checks use the identity metric
+_ENTRY_POINTS = {
+    **{"hodge_number:" + t: lambda s, t=t: hodge_number(s, t, 1, 1) for t in THEORIES},
+    **{"hodge_table:" + t: lambda s, t=t: hodge_table(s, t) for t in THEORIES},
+    "derham_betti": derham_betti,
+    "class_representatives": lambda s: class_representatives(s, "aeppli", 0, 1),
+    "natural_map_rank": lambda s: natural_map_rank(s, 1, 1),
+    "holomorphic_one_forms": holomorphic_one_forms,
+    "jost_yau": jost_yau,
+    "gap_verdict": gap_verdict,
+    "kunneth_check:left": lambda s: kunneth_check(s, torus_spec(1)),
+    "kunneth_check:right": lambda s: kunneth_check(torus_spec(1), s),
+    **{
+        "metric:" + c: lambda s, c=c: check_condition(s, diagonal_metric(s.n), c)
+        for c in ("kahler", "gauduchon", "skt", "astheno", "ft_pair")
+        + ("pluriclosed:1", "pluriclosed:2")
+    },
+    "scan_diagonal_metrics": lambda s: next(scan_diagonal_metrics(s, [1], "skt")),
+    "l_functional": lambda s: l_functional(s, diagonal_metric(s.n)),
+    "obstruction_report": obstruction_report,
+    "obstruction_report:metric": lambda s: obstruction_report(s, diagonal_metric(s.n)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_jacobi_failing_spec_has_no_cohomology(entry):
+    # d d a2 = -a1 ^ d ~a2 = -a1 ^ ~a1 ^ a2 != 0; at n = 2, astheno and
+    # pluriclosed:2 take the exponent-0 shortcut and are refused all the same
+    spec = AlgebraSpec("bad", 2, [Form(), alpha(1) ^ alphabar(2)])
+    assert [i for i, _ in validate(spec).failing_generators] == [2]
+    assert not validate(spec).jacobi_ok and torality_check(spec) == "not_applicable"
+    message = "spec fails the Jacobi check; no cohomology defined"
+    with pytest.raises(NotAComplex, match=message) as caught:
+        _ENTRY_POINTS[entry](spec)
+    assert isinstance(caught.value, ValueError) and caught.value.spec is spec
 
 
 def test_tables_match_oracle():

@@ -197,6 +197,61 @@ def test_only_one_helper_reads_the_spec_caches():
     assert found == {"algebra.py": ["_per_spec"]}
 
 
+def jacobi_uses(source: str) -> tuple:
+    """``(names, raises)``: the line numbers where ``source`` names
+    ``jacobi_failures`` (imported, read or defined), and those of the
+    ``raise`` statements that build the Jacobi refusal: a ``NotAComplex``
+    or an error whose message mentions the Jacobi check."""
+    tree = ast.parse(source)
+    names = sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "jacobi_failures")
+        or (isinstance(node, ast.Attribute) and node.attr == "jacobi_failures")
+        or (isinstance(node, ast.FunctionDef) and node.name == "jacobi_failures")
+        or (
+            isinstance(node, ast.ImportFrom)
+            and any(alias.name == "jacobi_failures" for alias in node.names)
+        )
+    )
+    raises = sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise)
+        and node.exc is not None
+        and any(
+            (isinstance(inner, ast.Name) and inner.id == "NotAComplex")
+            or (isinstance(inner, ast.Constant) and "Jacobi" in str(inner.value))
+            for inner in ast.walk(node.exc)
+        )
+    )
+    return names, raises
+
+
+def test_jacobi_uses_are_found():
+    source = (
+        "from .algebra import jacobi_failures\n"
+        "def f(spec):\n    if algebra.jacobi_failures(spec):\n"
+        "        raise ValueError('spec fails the Jacobi check')\n"
+        "    raise NotAComplex(spec)\n"
+        "raise ValueError('other')\n"
+    )
+    assert jacobi_uses(source) == ([1, 3], [4, 5])
+
+
+def test_one_module_decides_whether_a_spec_is_a_complex():
+    """Only ``algebra`` runs the Jacobi check, and one ``raise`` in the
+    package refuses a spec that fails it: the gate ``require_complex``."""
+    found = {
+        p.name: uses
+        for p in sorted(PACKAGE.glob("*.py"))
+        if any(uses := jacobi_uses(p.read_text(encoding="utf-8")))
+    }
+    assert list(found) == ["algebra.py"]
+    names, raises = found["algebra.py"]
+    assert names and len(raises) == 1
+
+
 def test_nested_imports_are_found():
     source = (
         "import json\n"

@@ -13,7 +13,7 @@ from sympy.polys.matrices import DomainMatrix
 import nilcoh.algebra
 import nilcoh.metrics
 
-from nilcoh.algebra import deldelbar
+from nilcoh.algebra import deldelbar, require_complex
 from nilcoh.catalog import (
     exnilp_spec,
     fps_spec,
@@ -254,8 +254,12 @@ def test_ft_pair_reports_first_failure():
 def test_condition_names_are_validated():
     with pytest.raises(ValueError):
         check_condition(iwasawa_spec(), diagonal_metric(3), "balanced")
-    with pytest.raises(ValueError):
-        check_condition(iwasawa_spec(), diagonal_metric(3), "pluriclosed:x")
+    for k in ("x", "", "64", "65"):
+        with pytest.raises(ValueError, match="pluriclosed:K needs K in 1..3"):
+            check_condition(iwasawa_spec(), diagonal_metric(3), "pluriclosed:" + k)
+    # K is read as a dimension: leading zeros are accepted
+    padded = check_condition(iwasawa_spec(), diagonal_metric(3), "pluriclosed:003")
+    assert padded.holds and padded.condition == "pluriclosed:003"
 
 
 def test_checks_are_scale_invariant():
@@ -336,11 +340,14 @@ def test_check_condition_builds_no_intermediate_form(monkeypatch):
     def refuse(*args):
         raise AssertionError("intermediate Form")
 
+    # the Jacobi gate differentiates the generator Forms, once per spec
+    iw = iwasawa_spec()
+    require_complex(iw)
     monkeypatch.setattr(MetricForm, "wedge_power", refuse)
     monkeypatch.setattr(nilcoh.algebra, "_differentiate", refuse)
     met = diagonal_metric(3)
     verdicts = {
-        cond: check_condition(iwasawa_spec(), met, cond).holds
+        cond: check_condition(iw, met, cond).holds
         for cond in ("kahler", "gauduchon", "skt", "astheno", "ft_pair", "pluriclosed:3")
     }
     assert verdicts == {
