@@ -25,7 +25,7 @@ from .algebra import NotAComplex, direct_sum, validate
 from .catalog import CatalogKeyError, catalog_get, catalog_list, run_suite
 from .cohomology import THEORY_TABLE, derham_betti, hodge_table
 from .dsl import StructureSyntaxError, format_structure_file, read_structure_file
-from .metrics import MetricForm, build_metric, check_condition, diagonal_metric
+from .metrics import MetricForm, check_condition, diagonal_metric
 from .obstructions import obstruction_report
 from .reports import (
     check_json,
@@ -49,17 +49,30 @@ def _fail_usage(message: str) -> int:
     return 2
 
 
-def _read_hmatrix(path: str):
-    """The rows of H from a JSON file {"H": [[{"re": .., "im": ..}, ...], ...]};
-    a malformed file raises ValueError naming the offending place."""
-    with open(path, "r", encoding="ascii") as fh:
-        try:
-            payload = json.load(fh)
-        except RecursionError:
-            raise ValueError("%s: JSON nested too deeply" % path) from None
+def _read_hmatrix(path: str, n: int) -> MetricForm:
+    """The metric of the ASCII JSON file {"H": [[{"re": .., "im": ..}, ...], ...]},
+    whose H must be n x n; a wrong-size H is refused before any cell is read.
+    A malformed file raises ValueError with a message that starts with the
+    path and names the offending place."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        # bytes.decode, unlike a text-mode open, looks up no codec module; a
+        # str keeps json.loads from reading UTF-16 or UTF-32 as JSON
+        payload = json.loads(data.decode("ascii"))
+    except RecursionError:
+        raise ValueError("%s: JSON nested too deeply" % path) from None
+    except ValueError as exc:  # a byte that is not ASCII, or no JSON text
+        raise ValueError("%s: %s" % (path, exc)) from None
     rows = payload.get("H") if isinstance(payload, dict) else None
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError('%s: expected {"H": [[{"re": .., "im": ..}, ...], ...]}' % path)
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError("%s: H must be a square matrix" % path)
+    if len(rows) != n:
+        raise ValueError(
+            "%s: H is %dx%d but the spec has dimension %d" % (path, len(rows), len(rows), n)
+        )
     H = []
     for i, row in enumerate(rows):
         H.append([])
@@ -76,14 +89,17 @@ def _read_hmatrix(path: str):
                     '%s: H[%d][%d] is not a scalar {"re": p/q, "im": p/q}: %s'
                     % (path, i, j, json.dumps(cell))
                 ) from None
-    return H
+    try:
+        return MetricForm(H)
+    except ValueError as exc:  # not Hermitian
+        raise ValueError("%s: %s" % (path, exc)) from None
 
 
 def _metric_from_args(args, n: int) -> MetricForm:
     if args.hmatrix is not None:
         if args.diag is not None:
             raise ValueError("--diag and --hmatrix exclude each other")
-        return build_metric(n, _read_hmatrix(args.hmatrix))
+        return _read_hmatrix(args.hmatrix, n)
     if args.diag is not None:
         # the grammar of --hmatrix cells, ASCII p or p/q, so both metric inputs agree
         return diagonal_metric(n, [parse_rational(part) for part in args.diag.split(",")])
@@ -172,8 +188,8 @@ def _cmd_product(args) -> int:
     text = format_structure_file(direct_sum(left, right))
     if args.output is not None:
         try:
-            with open(args.output, "w", encoding="ascii") as fh:
-                fh.write(text)
+            with open(args.output, "wb") as fh:
+                fh.write(text.encode("ascii"))
         except OSError:
             return _fail_usage("cannot write %s" % args.output)
     else:

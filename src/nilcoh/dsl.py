@@ -202,8 +202,19 @@ def parse_structure_file(text: str) -> AlgebraSpec:
 
 
 def read_structure_file(path) -> AlgebraSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_structure_file(fh.read())
+    """Parse the UTF-8 structure file at ``path``; a byte that is not
+    UTF-8 is a StructureSyntaxError at its line and column."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the lines of the text before the bad byte, numbered as the parser numbers them
+        lines = (data[: exc.start].decode("utf-8") + "?").splitlines()
+        raise StructureSyntaxError(
+            "byte 0x%02x is not UTF-8" % data[exc.start], len(lines), len(lines[-1])
+        ) from None
+    return parse_structure_file(text)
 
 
 def format_structure_file(spec: AlgebraSpec) -> str:

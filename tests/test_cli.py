@@ -202,11 +202,22 @@ def test_zero_denominator_coefficient_exits_two(tmp_path, capsys):
         {"H": [[{"re": " 1"}]]},
         {"H": [[{"re": "\u0662"}]]},
         '{"H": %s%s}' % ("[" * 1000, "]" * 1000),  # JSON text nested beyond json.load
+        # the file must be ASCII JSON text
+        pytest.param(b'{"H": [[{"re": "1"}]', id="cut-off"),
+        pytest.param('{"H": [[{"re": "1", "note": "é"}]]}'.encode("utf-8"), id="utf-8"),
+        pytest.param(b'{"H": [[{"re": "1", "note": "\xff"}]]}', id="byte-ff"),
+        pytest.param(b'\xef\xbb\xbf{"H": [[{"re": "1"}]]}', id="utf-8-bom"),
+        pytest.param('{"H": [[{"re": "1"}]]}'.encode("utf-16"), id="utf-16"),
+        pytest.param('{"H": [[{"re": "1"}]]}'.encode("utf-16-le"), id="utf-16-le"),
+        pytest.param('{"H": [[{"re": "1"}]]}'.encode("utf-32"), id="utf-32"),
     ],
 )
 def test_malformed_hmatrix_exits_two(files, capsys, tmp_path, payload):
     hpath = tmp_path / "H.json"
-    hpath.write_text(payload if isinstance(payload, str) else json.dumps(payload), encoding="ascii")
+    if isinstance(payload, bytes):
+        hpath.write_bytes(payload)
+    else:
+        hpath.write_text(payload if isinstance(payload, str) else json.dumps(payload), encoding="ascii")
     start = time.perf_counter()
     code, out, err = run(
         capsys, ["metric", files["torus1"], "--hmatrix", str(hpath), "--check", "skt"]
@@ -217,6 +228,30 @@ def test_malformed_hmatrix_exits_two(files, capsys, tmp_path, payload):
     assert str(hpath) in err
     if isinstance(payload, dict):
         assert "H[0][0]" in err
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([[{"re": 1}] * 500] * 500, "H is 500x500 but the spec has dimension 3"),
+        # the shape is checked before any cell, even a malformed one
+        ([[{"re": 0.5}] * 2] * 3, "H must be a square matrix"),
+        (
+            [[{"re": 1}, {"re": 1}, {"re": 0}], [{"re": 0}, {"re": 1}, {"re": 0}], [{"re": 0}, {"re": 0}, {"re": 1}]],
+            "H is not Hermitian at entry (1, 2)",
+        ),
+    ],
+    ids=["500x500", "3x2-bad-cells", "not-hermitian"],
+)
+def test_hmatrix_shape_is_refused_before_its_cells(files, capsys, tmp_path, rows, message):
+    hpath = tmp_path / "H.json"
+    hpath.write_text(json.dumps({"H": rows}), encoding="ascii")
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, ["metric", files["iwasawa"], "--hmatrix", str(hpath), "--check", "skt"]
+    )
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (2, "", "error: %s: %s\n" % (hpath, message))
 
 
 @pytest.mark.parametrize(
@@ -444,6 +479,13 @@ def test_validate_dimension_beyond_the_limit_exits_two(tmp_path, capsys):
         MAX_DIM + 1,
         MAX_DIM,
     )
+
+
+def test_validate_a_file_that_is_not_utf8_exits_two(tmp_path, capsys):
+    path = tmp_path / "latin1.alg"
+    path.write_bytes(b"algebra iwasawa dim 3\n# caf\xe9\nd a3 = (-1)*a1^a2\n")
+    code, out, err = run(capsys, ["validate", str(path)])
+    assert (code, out, err) == (2, "", "parse error: line 2, col 6: byte 0xe9 is not UTF-8\n")
 
 
 def test_validate_at_the_dimension_limit(tmp_path, capsys):

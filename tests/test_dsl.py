@@ -162,6 +162,30 @@ def test_read_structure_file(tmp_path):
     assert read_structure_file(str(path)) == iwasawa_spec()
 
 
+def test_read_structure_file_with_a_utf8_comment(tmp_path):
+    path = tmp_path / "iw.alg"
+    path.write_text("algebra iwasawa dim 3  # caf\u00e9\nd a3 = (-1)*a1^a2\n", encoding="utf-8")
+    assert read_structure_file(str(path)) == iwasawa_spec()
+
+
+@pytest.mark.parametrize(
+    "data, line, col",
+    [
+        (b"algebra t dim 2\n# caf\xff\n", 2, 6),
+        # \r\n and \r end a line as they do for the parser
+        (b"algebra t dim 2\r\n\rd a2 = (1)*a1^~a1 # \xc3(\n", 3, 21),
+        (b"\xef\xbb\xbfalgebra t dim 2 # \xe2\x82", 1, 20),  # cut off at the end
+    ],
+    ids=["comment", "crlf-and-cr", "cut-off"],
+)
+def test_a_byte_that_is_not_utf8_is_a_syntax_error(tmp_path, data, line, col):
+    path = tmp_path / "bad.alg"
+    path.write_bytes(data)
+    with pytest.raises(StructureSyntaxError, match="is not UTF-8") as err:
+        read_structure_file(str(path))
+    assert (err.value.line, err.value.col) == (line, col)
+
+
 def test_zero_lines_are_omitted_in_output():
     text = format_structure_file(torus_spec(2))
     assert text == "algebra torus2 dim 2\n"

@@ -1,7 +1,8 @@
 """Every module of the package uses each name it imports, imports only
 at module level, uses no floating point and leaves the rational kernel
 and span views to outside callers; importing the command line loads none
-of the heavy introspection modules and no argument-parsing library."""
+of the heavy introspection modules and no argument-parsing library, and
+running a command imports no further module."""
 
 import ast
 import json
@@ -292,3 +293,52 @@ def test_cli_import_loads_no_argument_parser():
     import loads neither ``argparse`` nor the ``gettext`` and ``locale``
     modules that ``argparse`` pulls in."""
     assert modules_loaded_by_cli_import(["argparse", "gettext", "locale"]) == []
+
+
+COMMANDS_SCRIPT = """
+import contextlib, io, json, sys
+from nilcoh.cli import _THEORY_ALIASES, main
+
+paths = dict(zip(["FILE", "H", "OUT"], sys.argv[1:]))
+jobs = (
+    [["validate", "FILE"]]
+    + [["table", "FILE", "--theory", theory] for theory in sorted(_THEORY_ALIASES)]
+    + [
+        ["metric", "FILE", "--hmatrix", "H", "--check", "skt"],
+        ["metric", "FILE", "--diag", "1,2,1", "--check", "skt"],
+        ["obstruct", "FILE", "--hmatrix", "H"],
+        ["product", "FILE", "FILE", "-o", "OUT"],
+        ["catalog", "list"],
+        ["catalog", "show", "iwasawa"],
+        ["catalog", "suite"],
+    ]
+)
+added = {}
+for argv in jobs:
+    before = set(sys.modules)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main([paths.get(word, word) for word in argv])
+    added[" ".join(argv)] = (code, sorted(set(sys.modules) - before))
+print(json.dumps(added))
+"""
+
+
+def test_no_command_imports_a_module_at_run_time(tmp_path):
+    """After ``import nilcoh.cli``, no command adds a module to
+    ``sys.modules``: not even the codec module that a text-mode ``open``
+    with an encoding other than the start-up ones looks up."""
+    alg = tmp_path / "iw.alg"
+    alg.write_text("algebra iw dim 3\nd a3 = (-1) * a1 ^ a2\n", encoding="ascii")
+    hmatrix = tmp_path / "H.json"
+    hmatrix.write_text(
+        json.dumps({"H": [[{"re": int(j == k)} for k in range(3)] for j in range(3)]}), encoding="ascii"
+    )
+    argv = [str(alg), str(hmatrix), str(tmp_path / "out.alg")]
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", COMMANDS_SCRIPT, *argv],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    added = json.loads(out)
+    assert {job: code for job, (code, _) in added.items() if code not in (0, 1)} == {}
+    assert {job: modules for job, (_, modules) in added.items() if modules} == {}
