@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 
 from .forms import BasisForm, Form, _mask_form, _mask_indices
 from .linalg import IndexedMatrix, _echelon, _integer_rows
@@ -142,16 +143,11 @@ def _per_spec(build):
     return memo
 
 
-class ValidationReport:
-    """Outcome of the Jacobi check plus the nilpotency flag data."""
+class ValidationReport(namedtuple("ValidationReport", "failing_generators nilpotent_J filtration")):
+    """Outcome of the Jacobi check plus the nilpotency flag data;
+    ``failing_generators`` holds (index, d d a_i) pairs."""
 
-    __slots__ = ("failing_generators", "nilpotent_J", "filtration")
-
-    def __init__(self, failing_generators=None, nilpotent_J=False, filtration=None):
-        # (index, d2 Form) pairs
-        self.failing_generators = [] if failing_generators is None else failing_generators
-        self.nilpotent_J = nilpotent_J
-        self.filtration = [] if filtration is None else filtration
+    __slots__ = ()
 
     @property
     def jacobi_ok(self) -> bool:
@@ -381,9 +377,9 @@ def validate(spec: AlgebraSpec) -> ValidationReport:
     """Jacobi check (d.d = 0 on generators) plus the nilpotency flag."""
     failing = jacobi_failures(spec)
     if failing:
-        return ValidationReport(failing_generators=failing)
+        return ValidationReport(failing, False, [])
     nilpotent, dims = nilpotency_filtration(spec)
-    return ValidationReport(nilpotent_J=nilpotent, filtration=dims)
+    return ValidationReport([], nilpotent, dims)
 
 
 def direct_sum(a: AlgebraSpec, b: AlgebraSpec) -> AlgebraSpec:

@@ -35,6 +35,7 @@ recomputed from the family arguments an entry keeps in ``params``.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from math import comb
@@ -65,26 +66,16 @@ class CatalogKeyError(KeyError):
     """Unknown catalog key; the message lists what is available."""
 
 
-class Fixture:
-    """One recorded value; ``name`` selects its computation in ``_COMPUTE``."""
-
-    __slots__ = ("name", "provenance", "expected")
-
-    def __init__(self, name: str, provenance: str, expected):
-        self.name = name
-        self.provenance = provenance  # literature | trivial | derived
-        self.expected = expected
+# one recorded value: ``name`` selects its computation in ``_COMPUTE``;
+# provenance: literature | trivial | derived
+Fixture = namedtuple("Fixture", "name provenance expected")
 
 
-class CatalogEntry:
-    __slots__ = ("key", "spec", "fixtures", "notes", "params")
+class CatalogEntry(namedtuple("CatalogEntry", "key spec fixtures notes params", defaults=("", ()))):
+    """A worked example; ``params`` holds the family arguments read by
+    fps_lhs, exnilp_lhs and kunneth_*."""
 
-    def __init__(self, key: str, spec: AlgebraSpec, fixtures: list, notes: str = "", params=()):
-        self.key = key
-        self.spec = spec
-        self.fixtures = fixtures
-        self.notes = notes
-        self.params = params  # family arguments read by fps_lhs, exnilp_lhs, kunneth_*
+    __slots__ = ()
 
     @property
     def metric(self) -> MetricForm:

@@ -183,9 +183,15 @@ def _cmd_obstruct(args) -> int:
 
 
 def _cmd_product(args) -> int:
-    left = read_structure_file(args.file1)
-    right = read_structure_file(args.file2)
-    text = format_structure_file(direct_sum(left, right))
+    specs = []
+    for path in (args.file1, args.file2):
+        try:
+            specs.append(read_structure_file(path))
+        except StructureSyntaxError as exc:
+            # of two input files, name the one at fault
+            print("parse error: %s: %s" % (path, exc), file=sys.stderr)
+            return 2
+    text = format_structure_file(direct_sum(*specs))
     if args.output is not None:
         try:
             with open(args.output, "wb") as fh:

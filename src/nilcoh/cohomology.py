@@ -43,16 +43,10 @@ Lie algebra is nilpotent, not that J is (Cordero-Fernandez-Gray-Ugarte).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import comb
 
-from .algebra import (
-    AlgebraSpec,
-    _d_terms,
-    _per_spec,
-    _term_tables,
-    differential_matrix,
-    validate,
-)
+from .algebra import AlgebraSpec, _per_spec, differential_matrix, validate
 from .forms import _mask_form, component_masks, degree_masks
 from .linalg import (
     IndexedMatrix,
@@ -98,20 +92,11 @@ def _unimodular(spec: AlgebraSpec) -> bool:
     pairing into degree 2n, and the two have one rank.  There d is delbar
     out of (n, n-1) plus del out of (n-1, n), which conjugation swaps, so
     each vanishes exactly when d does, and Serre duality holds for both."""
-    table = _term_tables(spec)[1][None]
-    return not any(_d_terms(table, {m: (1, 0)}) for m in degree_masks(spec.n, 2 * spec.n - 1))
+    return not any(d_matrix(spec, 2 * spec.n - 1).int_rows())
 
 
-class HodgeTable:
-    """(n+1) x (n+1) grid of hodge numbers; entries[p][q] is h^{p,q}."""
-
-    __slots__ = ("theory", "n", "entries", "validity")
-
-    def __init__(self, theory: str, n: int, entries: list, validity: str):
-        self.theory = theory
-        self.n = n
-        self.entries = entries
-        self.validity = validity  # "nilpotent_J" | "ce_only"
+# entries[p][q] is h^{p,q} on the (n+1) x (n+1) grid; validity: nilpotent_J | ce_only
+HodgeTable = namedtuple("HodgeTable", "theory n entries validity")
 
 
 @_per_spec

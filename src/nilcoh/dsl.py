@@ -34,6 +34,7 @@ from .scalars import parse_scalar
 _IDENT_RE = _re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _INT_RE = _re.compile(r"\d+", _re.ASCII)
 _GEN_RE = _re.compile(r"a(\d+)", _re.ASCII)
+_BOM = "\ufeff"  # decoding as utf-8-sig would import a codec module on each run
 
 
 class StructureSyntaxError(Exception):
@@ -202,8 +203,9 @@ def parse_structure_file(text: str) -> AlgebraSpec:
 
 
 def read_structure_file(path) -> AlgebraSpec:
-    """Parse the UTF-8 structure file at ``path``; a byte that is not
-    UTF-8 is a StructureSyntaxError at its line and column."""
+    """Parse the UTF-8 structure file at ``path``, less one leading
+    byte-order mark; a byte that is not UTF-8 is a StructureSyntaxError
+    at its line and column."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -214,7 +216,7 @@ def read_structure_file(path) -> AlgebraSpec:
         raise StructureSyntaxError(
             "byte 0x%02x is not UTF-8" % data[exc.start], len(lines), len(lines[-1])
         ) from None
-    return parse_structure_file(text)
+    return parse_structure_file(text.removeprefix(_BOM))
 
 
 def format_structure_file(spec: AlgebraSpec) -> str:

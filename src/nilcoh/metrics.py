@@ -45,6 +45,7 @@ metric (the direct computation is the oracle for both):
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 from math import factorial
@@ -216,13 +217,8 @@ def diagonal_metric(n: int, diag=None) -> MetricForm:
     )
 
 
-class CheckResult:
-    __slots__ = ("condition", "holds", "witness")
-
-    def __init__(self, condition: str, holds: bool, witness: Form):
-        self.condition = condition
-        self.holds = holds
-        self.witness = witness  # the obstruction form; zero iff the condition holds
+# witness: the obstruction form, zero iff the condition holds
+CheckResult = namedtuple("CheckResult", "condition holds witness")
 
 
 def check_condition(spec: AlgebraSpec, m: MetricForm, cond: str) -> CheckResult:

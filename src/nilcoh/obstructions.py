@@ -27,122 +27,41 @@ Reports carry a validity flag: conclusions are manifold-level only for
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from .algebra import AlgebraSpec, d, del_, direct_sum, validate
-from .cohomology import _vector_forms, class_representatives, hodge_number, operator_matrix
-from .forms import BasisForm, Form
-from .linalg import _kernel_vectors
+from .cohomology import class_representatives, hodge_number
+from .forms import BasisForm
 from .metrics import MetricForm, check_condition
 
+# witness: a holomorphic but non-closed 1-form, or None when the test passes
+JostYauResult = namedtuple("JostYauResult", "passed witness")
 
-class JostYauResult:
-    __slots__ = ("passed", "witness")
+# verdict: compatible_gap0 | compatible_gap1 | excluded
+GapVerdict = namedtuple("GapVerdict", "h01_bc h01_a gap verdict")
 
-    def __init__(self, passed: bool, witness: Form | None):
-        self.passed = passed
-        self.witness = witness  # a holomorphic but non-closed 1-form, if any
+# representatives: Aeppli (0,1) representatives; values: Gaussian
+# rationals, one per representative; rank: 0 or 1
+LFunctional = namedtuple("LFunctional", "representatives values rank")
 
+KunnethResult = namedtuple(
+    "KunnethResult",
+    "bc_left bc_right bc_sum bc_additive aeppli_left aeppli_right aeppli_sum aeppli_superadditive",
+)
 
-class GapVerdict:
-    __slots__ = ("h01_bc", "h01_a", "gap", "verdict")
-
-    def __init__(self, h01_bc: int, h01_a: int, gap: int, verdict: str):
-        self.h01_bc = h01_bc
-        self.h01_a = h01_a
-        self.gap = gap
-        self.verdict = verdict  # compatible_gap0 | compatible_gap1 | excluded
-
-
-class LFunctional:
-    __slots__ = ("representatives", "values", "rank")
-
-    def __init__(self, representatives: list, values: list, rank: int):
-        self.representatives = representatives  # Aeppli (0,1) representatives
-        self.values = values  # Gaussian rationals, one per representative
-        self.rank = rank  # 0 or 1
-
-
-class KunnethResult:
-    __slots__ = (
-        "bc_left",
-        "bc_right",
-        "bc_sum",
-        "bc_additive",
-        "aeppli_left",
-        "aeppli_right",
-        "aeppli_sum",
-        "aeppli_superadditive",
-    )
-
-    def __init__(
-        self,
-        bc_left: int,
-        bc_right: int,
-        bc_sum: int,
-        bc_additive: bool,
-        aeppli_left: int,
-        aeppli_right: int,
-        aeppli_sum: int,
-        aeppli_superadditive: bool,
-    ):
-        self.bc_left = bc_left
-        self.bc_right = bc_right
-        self.bc_sum = bc_sum
-        self.bc_additive = bc_additive
-        self.aeppli_left = aeppli_left
-        self.aeppli_right = aeppli_right
-        self.aeppli_sum = aeppli_sum
-        self.aeppli_superadditive = aeppli_superadditive
-
-
-class ObstructionReport:
-    __slots__ = (
-        "h01_bc",
-        "h01_a",
-        "gap",
-        "gap_verdict",
-        "jost_yau",
-        "torality",
-        "validity",
-        "astheno_excluded",
-        "excluded_by",
-        "gauduchon",
-        "l_rank",
-        "l_values",
-    )
-
-    def __init__(
-        self,
-        h01_bc: int,
-        h01_a: int,
-        gap: int,
-        gap_verdict: str,
-        jost_yau: JostYauResult,
-        torality: str,
-        validity: str,
-        astheno_excluded: bool,
-        excluded_by: list | None = None,
-        gauduchon: bool | None = None,
-        l_rank: int | None = None,
-        l_values: list | None = None,
-    ):
-        self.h01_bc = h01_bc
-        self.h01_a = h01_a
-        self.gap = gap
-        self.gap_verdict = gap_verdict
-        self.jost_yau = jost_yau
-        self.torality = torality
-        self.validity = validity  # nilpotent_J | ce_only
-        self.astheno_excluded = astheno_excluded
-        self.excluded_by = [] if excluded_by is None else excluded_by
-        self.gauduchon = gauduchon
-        self.l_rank = l_rank
-        self.l_values = l_values
+# validity: nilpotent_J | ce_only; gauduchon is None without a metric, and
+# l_rank and l_values are None unless the metric is Gauduchon
+ObstructionReport = namedtuple(
+    "ObstructionReport",
+    "h01_bc h01_a gap gap_verdict jost_yau torality validity astheno_excluded "
+    "excluded_by gauduchon l_rank l_values",
+)
 
 
 def holomorphic_one_forms(spec: AlgebraSpec):
-    """Basis of delbar-closed (1,0)-forms, in canonical reduced form."""
-    m = operator_matrix(spec, "delbar", 1, 0)
-    return _vector_forms(spec, m.cols, _kernel_vectors(m))
+    """Basis of delbar-closed (1,0)-forms, in canonical reduced form: the
+    Dolbeault (1,0) representatives, as no delbar image lands in (1,0)."""
+    return class_representatives(spec, "dolbeault", 1, 0)
 
 
 def jost_yau(spec: AlgebraSpec) -> JostYauResult:

@@ -150,9 +150,9 @@ def tampered_kodaira(monkeypatch):
 
     def tampered():
         entry = build()
-        for fx in entry.fixtures:
+        for k, fx in enumerate(entry.fixtures):
             if fx.name == "gap":
-                fx.expected = 2
+                entry.fixtures[k] = fx._replace(expected=2)
         return entry
 
     monkeypatch.setitem(catalog._NAMED, "kodaira", tampered)

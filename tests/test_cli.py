@@ -488,6 +488,27 @@ def test_validate_a_file_that_is_not_utf8_exits_two(tmp_path, capsys):
     assert (code, out, err) == (2, "", "parse error: line 2, col 6: byte 0xe9 is not UTF-8\n")
 
 
+def test_validate_reads_past_a_byte_order_mark(files, tmp_path, capsys):
+    path = tmp_path / "bom.alg"
+    with open(files["iwasawa"], "rb") as fh:
+        path.write_bytes(b"\xef\xbb\xbf" + fh.read())
+    assert run(capsys, ["validate", str(path)]) == run(capsys, ["validate", files["iwasawa"]])
+
+
+@pytest.mark.parametrize("order", ["bad first", "bad second"])
+def test_product_names_the_file_that_fails_to_parse(files, capsys, order):
+    bad = files["syntax"]
+    _, _, err = run(capsys, ["validate", bad])
+    assert err == "parse error: line 2, col 8: expected 'a parenthesized scalar'\n"
+    inputs = [bad, files["kodaira"]] if order == "bad first" else [files["kodaira"], bad]
+    code, out, err = run(capsys, ["product", *inputs])
+    assert (code, out, err) == (
+        2,
+        "",
+        "parse error: %s: line 2, col 8: expected 'a parenthesized scalar'\n" % bad,
+    )
+
+
 def test_validate_at_the_dimension_limit(tmp_path, capsys):
     path = tmp_path / "top.alg"
     path.write_text("algebra x dim %d\nd a%d = (1) * a1 ^ a2\n" % (MAX_DIM, MAX_DIM), encoding="ascii")

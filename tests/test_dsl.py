@@ -168,6 +168,17 @@ def test_read_structure_file_with_a_utf8_comment(tmp_path):
     assert read_structure_file(str(path)) == iwasawa_spec()
 
 
+def test_read_structure_file_drops_one_leading_byte_order_mark(tmp_path):
+    path = tmp_path / "iw.alg"
+    data = format_structure_file(iwasawa_spec()).encode("ascii")
+    path.write_bytes(b"\xef\xbb\xbf" + data)
+    assert read_structure_file(str(path)) == iwasawa_spec()
+    # one mark only: a second is the first character of the text
+    path.write_bytes(b"\xef\xbb\xbf" * 2 + data)
+    with pytest.raises(StructureSyntaxError, match="expected keyword 'algebra'"):
+        read_structure_file(str(path))
+
+
 @pytest.mark.parametrize(
     "data, line, col",
     [
