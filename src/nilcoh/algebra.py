@@ -127,17 +127,18 @@ class AlgebraSpec:
 
 
 def _per_spec(build):
-    """Decorator: ``build(spec, *args)`` runs once per spec and arguments,
-    and later calls return its first result.  Results are kept in the
-    spec's ``_caches`` under ``(build, *args)``, so two builders never share
-    a key; this is the only reader of ``_caches``."""
+    """Decorator: ``build(obj, *args)`` runs once per object and arguments,
+    and later calls return its first result.  ``obj`` is any immutable
+    object with a ``_caches`` slot (a spec, a metric); results are kept there
+    under ``(build, *args)``, so two builders never share a key; this is the
+    only reader of ``_caches``."""
 
     @functools.wraps(build)
-    def memo(spec, *args):
-        cache = spec._caches
+    def memo(obj, *args):
+        cache = obj._caches
         key = (build, *args)
         if key not in cache:
-            cache[key] = build(spec, *args)
+            cache[key] = build(obj, *args)
         return cache[key]
 
     return memo

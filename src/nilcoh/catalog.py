@@ -12,9 +12,10 @@ families::
     exnilp_ones(n)                  exnilp with A=0 and B all ones (astheno)
     product(k1,k2)                  direct sum of two catalog entries
 
-The dimension n of ``torus``, ``exnilp`` and ``exnilp_ones`` is written in
-ASCII digits, runs from 1 to ``algebra.MAX_DIM`` and is checked before
-anything is built.
+A family takes exactly its arguments, counted in one table, ``_FAMILIES``,
+that binds each head to its builder.  The dimension n of ``torus``,
+``exnilp`` and ``exnilp_ones`` is written in ASCII digits, runs from 1 to
+``algebra.MAX_DIM`` and is checked before anything is built.
 
 Every fixture value carries a provenance label:
 
@@ -163,12 +164,8 @@ _COMPUTE = {
     "kahler_identity": lambda e: check_condition(e.spec, e.metric, "kahler").holds,
     "skt_identity": lambda e: check_condition(e.spec, e.metric, "skt").holds,
     "astheno_identity": lambda e: check_condition(e.spec, e.metric, "astheno").holds,
-    "astheno_witness": lambda e: (
-        str(check_condition(e.spec, e.metric, "astheno").witness)
-    ),
-    "gauduchon_identity": lambda e: (
-        check_condition(e.spec, e.metric, "gauduchon").holds
-    ),
+    "astheno_witness": lambda e: str(check_condition(e.spec, e.metric, "astheno").witness),
+    "gauduchon_identity": lambda e: check_condition(e.spec, e.metric, "gauduchon").holds,
     "l_rank_identity": lambda e: l_functional(e.spec, e.metric).rank,
     "l_values_identity": lambda e: [
         str(v) for v in l_functional(e.spec, e.metric).values
@@ -363,6 +360,12 @@ def _exnilp_ones(n: int) -> CatalogEntry:
 
 
 def _product(k1: str, k2: str, extra=(), notes="") -> CatalogEntry:
+    # k products join k + 1 factors of n >= 1 each; refuse before recursing
+    factors = k1.count("product(") + k2.count("product(") + 2
+    if factors > MAX_DIM:
+        raise CatalogKeyError(
+            "a product of %d factors exceeds the dimension limit %d" % (factors, MAX_DIM)
+        )
     left = catalog_get(k1).spec
     right = catalog_get(k2).spec
     bc = sum(hodge_number(spec, "bott_chern", 0, 1) for spec in (left, right))
@@ -382,10 +385,7 @@ def _product(k1: str, k2: str, extra=(), notes="") -> CatalogEntry:
 
 
 _NAMED = {
-    "torus(1)": lambda: _torus(1),
-    "torus(2)": lambda: _torus(2),
-    "torus(3)": lambda: _torus(3),
-    "torus(4)": lambda: _torus(4),
+    **{"torus(%d)" % n: lambda n=n: _torus(n) for n in range(1, 5)},
     "iwasawa": _iwasawa,
     "kodaira": _kodaira,
     "nakamura_ce": _nakamura_ce,
@@ -494,6 +494,30 @@ def _parse_matrix(text: str):
     return out
 
 
+def _exnilp_key(n, *named_args) -> CatalogEntry:
+    dim = parse_dimension(n)
+    named = {}
+    for arg in named_args:
+        tag, _, value = arg.partition("=")
+        named[tag.strip()] = _parse_matrix(value)
+    if set(named) != {"A", "B"}:
+        raise CatalogKeyError("exnilp wants A= and B= arguments")
+    return _exnilp(dim, named["A"], named["B"], key="exnilp(%s)" % ",".join((n, *named_args)))
+
+
+# family head -> (argument count, refusal for any other count, builder from
+# the argument texts)
+_FAMILIES = {
+    "torus": (1, "torus wants one dimension", lambda n: _torus(parse_dimension(n))),
+    "exnilp_ones": (
+        1, "exnilp_ones wants one dimension", lambda n: _exnilp_ones(parse_dimension(n))
+    ),
+    "fps_skt": (5, "fps_skt wants five scalars", lambda *s: _fps([parse_scalar(a) for a in s])),
+    "exnilp": (3, "exnilp wants (n, A=..., B=...)", _exnilp_key),
+    "product": (2, "product wants two catalog keys", _product),
+}
+
+
 def catalog_get(key: str) -> CatalogEntry:
     """Look up a named entry or build a parametrized one."""
     key = key.strip()
@@ -501,48 +525,19 @@ def catalog_get(key: str) -> CatalogEntry:
     if builder is not None:
         return builder()
     head, _, rest = key.partition("(")
-    if not rest.endswith(")"):
+    family = _FAMILIES.get(head)
+    if family is None or not rest.endswith(")"):
         raise CatalogKeyError(
             "unknown catalog key %.60r; named keys: %s" % (key, ", ".join(_NAMED))
         )
+    count, refusal, build = family
     args = _split_top(rest[:-1])
+    if len(args) != count:
+        raise CatalogKeyError(refusal)
     try:
-        if head == "torus":
-            return _torus(parse_dimension(args[0]))
-        if head == "exnilp_ones":
-            return _exnilp_ones(parse_dimension(args[0]))
-        if head == "fps_skt":
-            if len(args) != 5:
-                raise CatalogKeyError("fps_skt wants five scalars")
-            return _fps([parse_scalar(a) for a in args])
-        if head == "exnilp":
-            if len(args) != 3:
-                raise CatalogKeyError("exnilp wants (n, A=..., B=...)")
-            n = parse_dimension(args[0])
-            named = {}
-            for arg in args[1:]:
-                tag, _, value = arg.partition("=")
-                named[tag.strip()] = _parse_matrix(value)
-            if set(named) != {"A", "B"}:
-                raise CatalogKeyError("exnilp wants A= and B= arguments")
-            return _exnilp(n, named["A"], named["B"], key="exnilp(%s)" % ",".join(args))
-        if head == "product":
-            if len(args) != 2:
-                raise CatalogKeyError("product wants two catalog keys")
-            # k products join k + 1 factors of n >= 1 each; refuse before recursing
-            factors = key.count("product(") + 1
-            if factors > MAX_DIM:
-                raise CatalogKeyError(
-                    "a product of %d factors exceeds the dimension limit %d" % (factors, MAX_DIM)
-                )
-            return _product(args[0], args[1])
-    except CatalogKeyError:
-        raise
+        return build(*args)
     except (ValueError, IndexError) as exc:
         raise CatalogKeyError("bad arguments in %.60r: %s" % (key, exc)) from None
-    raise CatalogKeyError(
-        "unknown catalog key %.60r; named keys: %s" % (key, ", ".join(_NAMED))
-    )
 
 
 def run_suite(keys=None):

@@ -212,7 +212,7 @@ def read_structure_file(path) -> AlgebraSpec:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         # the lines of the text before the bad byte, numbered as the parser numbers them
-        lines = (data[: exc.start].decode("utf-8") + "?").splitlines()
+        lines = (data[: exc.start].decode("utf-8").removeprefix(_BOM) + "?").splitlines()
         raise StructureSyntaxError(
             "byte 0x%02x is not UTF-8" % data[exc.start], len(lines), len(lines[-1])
         ) from None

@@ -7,7 +7,8 @@ whole matrix, and all the work is done on those integers.  The product
 multiplies nonzero by nonzero in Z[i] and multiplies the denominators;
 the stacks bring their operands to a common denominator.  Gaussian
 rationals are built only at the edge: the dense constructor and the dense
-``entries`` view, and the vectors of ``kernel_basis`` and ``span_basis``.
+``entries`` view, the vectors of ``kernel_basis`` and ``span_basis``, and
+the witness of a failed containment check.
 
 One fraction-free echelon routine does all the exact elimination.  It
 keeps every row as a dict from column to Gaussian integer holding its
@@ -638,10 +639,15 @@ def check_containment(kernel_of: IndexedMatrix, image: IndexedMatrix):
     escaped = [entry[0] for row in prod.int_rows() for entry in row]
     if escaped:
         j = min(escaped)
+        witness, value = (
+            tuple(
+                next((_gauss(re, im, m.denominator) for c, re, im in row if c == j), _GR_ZERO)
+                for row in m.int_rows()
+            )
+            for m in (image, prod)
+        )
         raise ContainmentError(
-            "image vector escapes the kernel (inconsistent complex)",
-            witness=tuple(row[j] for row in image.entries),
-            value=tuple(row[j] for row in prod.entries),
+            "image vector escapes the kernel (inconsistent complex)", witness, value
         )
 
 

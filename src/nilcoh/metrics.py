@@ -17,14 +17,14 @@ Positivity (H positive definite) is decided exactly by Sylvester's
 criterion on leading principal minors and is reported, not required: the
 closedness checks below are well-defined for any Hermitian H.
 
-Conditions on omega (e = exterior exponent, n the dimension):
+Conditions on omega (n the dimension), each but pluriclosed:K a ``CONDITIONS`` row:
 
 * ``kahler``          d omega = 0
-* ``pluriclosed:k``   del delbar (omega^(n-k)) = 0 for k in 1..n, trivially true at k = n
-* ``gauduchon``       pluriclosed:1
+* ``gauduchon``       del delbar (omega^(n-1)) = 0
 * ``skt``             del delbar omega = 0
-* ``astheno``         pluriclosed:2
-* ``ft_pair``         del delbar omega = 0 and del delbar (omega^2) = 0
+* ``astheno``         del delbar (omega^(n-2)) = 0
+* ``ft_pair``         del delbar omega = 0 = del delbar (omega^2); also ``ftpair``
+* ``pluriclosed:K``   del delbar (omega^(n-K)) = 0 for K in 1..n, trivially true at K = n
 
 ``check_condition`` returns the verdict together with the obstruction form
 itself as a witness (zero exactly when the condition holds).  All outcomes
@@ -50,12 +50,10 @@ from fractions import Fraction
 from itertools import product
 from math import factorial
 
-from .algebra import AlgebraSpec, _apply, parse_dimension, require_complex
+from .algebra import AlgebraSpec, _apply, _per_spec, parse_dimension, require_complex
 from .forms import Form, _mask_form
 from .linalg import _echelon, _integer_rows
 from .scalars import GaussianRational
-
-_CONDITIONS = ("kahler", "gauduchon", "skt", "astheno", "ft_pair")
 
 
 def _as_scalar(x) -> GaussianRational:
@@ -63,9 +61,10 @@ def _as_scalar(x) -> GaussianRational:
 
 
 class MetricForm:
-    """Hermitian coefficient matrix with cached omega and wedge powers."""
+    """Hermitian coefficient matrix, also as Gaussian-integer rows over L
+    (the lcm of its denominators), with cached omega and wedge powers."""
 
-    __slots__ = ("n", "H", "_cache")
+    __slots__ = ("n", "H", "_rows", "_scale", "_caches")
 
     def __init__(self, H):
         H = tuple(tuple(_as_scalar(x) for x in row) for row in H)
@@ -80,7 +79,10 @@ class MetricForm:
                     )
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "H", H)
-        object.__setattr__(self, "_cache", {})
+        rows, scale = _integer_rows(map(enumerate, H))
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_scale", scale)
+        object.__setattr__(self, "_caches", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("MetricForm is immutable")
@@ -95,30 +97,26 @@ class MetricForm:
         omega^0 = 1 and omega^k = 0 for k > n."""
         return _mask_form(self.n, *self._power(k))
 
+    @_per_spec
     def _power(self, k: int):
         """omega^k as ``(terms, L^k)``, ``terms`` a dict mask -> (re, im) of
         Gaussian integers over L^k; each requested power is memoized."""
         if k < 0:
             raise ValueError("wedge power wants a nonnegative exponent")
-        cached = self._cache.get(k)
-        if cached is None:
-            cached = self._cache[k] = self._power_from_minors(k)
-        return cached
+        return self._power_from_minors(k)
 
     def _power_from_minors(self, k: int):
-        """H is scaled to Gaussian integers by the lcm L of its
-        denominators, and the minors of L*H are built level by level by
-        Laplace expansion along the first row of S, keyed by row and column
-        bitmasks; only the nonzero minors of one level are kept.  Over L^k
-        they give the exact coefficients of omega^k, keyed by the mask
-        ``S | T << n`` of a_S ^ ~a_T."""
+        """The minors of L*H are built level by level by Laplace expansion
+        along the first row of S, keyed by row and column bitmasks; only the
+        nonzero minors of one level are kept.  Over L^k they give the exact
+        coefficients of omega^k, keyed by the mask ``S | T << n`` of
+        a_S ^ ~a_T."""
         n = self.n
         if k == 0:
             return {0: (1, 0)}, 1
         if k > n:
             return {}, 1
-        int_rows, scale = _integer_rows(map(enumerate, self.H))
-        rows = [[(1 << t, gr, gi) for t, gr, gi in row] for row in int_rows]
+        rows = [[(1 << t, gr, gi) for t, gr, gi in row] for row in self._rows]
         # level m maps a row mask to {column mask: minor}.  A row set that
         # grows by k - m more rows, each one above its first row, starts at
         # row k - m or later.
@@ -155,26 +153,24 @@ class MetricForm:
                 if k & 1:
                     vr, vi = -vi, vr
                 terms[smask | tmask << n] = (factor * vr, factor * vi)
-        return terms, scale**k
+        return terms, self._scale**k
 
     def leading_minors(self):
         """Leading principal minor determinants (exact, real rationals).
 
-        A forward fraction-free pass over each leading k x k block, scaled
-        to Gaussian integers by the lcm L of its denominators, ends on its
-        determinant up to the row-swap sign; dividing by L^k gives the
-        minor of H itself."""
+        A forward fraction-free pass over each leading k x k block of L*H
+        ends on its determinant up to the row-swap sign; dividing by L^k
+        gives the minor of H itself."""
         minors = []
         for k in range(1, self.n + 1):
-            block = [row[:k] for row in self.H[:k]]
-            rows, scale = _integer_rows(map(enumerate, block))
-            pivots, _, last, sign = _echelon(rows, k, False)
+            block = [[e for e in row if e[0] < k] for row in self._rows[:k]]
+            pivots, _, last, sign = _echelon(block, k, False)
             if len(pivots) < k:
                 minors.append(Fraction(0))
                 continue
             if last[1]:
                 raise ArithmeticError("Hermitian minor with nonzero imaginary part")
-            minors.append(Fraction(sign * last[0], scale**k))
+            minors.append(Fraction(sign * last[0], self._scale**k))
         return minors
 
     def is_positive(self) -> bool:
@@ -220,14 +216,27 @@ def diagonal_metric(n: int, diag=None) -> MetricForm:
 # witness: the obstruction form, zero iff the condition holds
 CheckResult = namedtuple("CheckResult", "condition holds witness")
 
+# name -> (exponents k of omega^k as functions of n, term tables applied to
+# each power: (None,) for d, (0, 1) for delbar then del)
+CONDITIONS = {
+    "kahler": ((lambda n: 1,), (None,)),
+    "gauduchon": ((lambda n: n - 1,), (0, 1)),
+    "skt": ((lambda n: 1,), (0, 1)),
+    "astheno": ((lambda n: n - 2,), (0, 1)),
+    "ft_pair": ((lambda n: 1, lambda n: 2), (0, 1)),
+}
+
 
 def check_condition(spec: AlgebraSpec, m: MetricForm, cond: str) -> CheckResult:
-    """Decide a closedness condition for omega on the spec (NotAComplex unless d.d = 0)."""
+    """Decide a closedness condition for omega on the spec (NotAComplex
+    unless d.d = 0); the witness is the first power that does not vanish,
+    and the zero form when every power does (an exponent below 1 does)."""
     if m.n != spec.n:
-        raise ValueError(
-            "metric has dimension %d but the spec has %d" % (m.n, spec.n)
-        )
+        raise ValueError("metric has dimension %d but the spec has %d" % (m.n, spec.n))
     name = cond.strip()
+    if name == "ftpair":
+        name = "ft_pair"
+    row = CONDITIONS.get(name)
     if name.startswith("pluriclosed"):
         head, _, text = name.partition(":")
         try:
@@ -236,33 +245,21 @@ def check_condition(spec: AlgebraSpec, m: MetricForm, cond: str) -> CheckResult:
             k = 0
         if head != "pluriclosed" or not 0 < k <= spec.n:
             raise ValueError("pluriclosed:K needs K in 1..%d, in digits 0-9" % spec.n)
-        return _pluriclosed(spec, m, name, spec.n - k)
-    if name in ("ftpair", "ft_pair"):
-        first = _pluriclosed(spec, m, "ft_pair", 1)
-        return _pluriclosed(spec, m, "ft_pair", 2) if first.holds else first
-    if name == "kahler":
-        return _pluriclosed(spec, m, name, 1, (None,))
-    if name == "gauduchon":
-        return _pluriclosed(spec, m, name, spec.n - 1)
-    if name == "skt":
-        return _pluriclosed(spec, m, name, 1)
-    if name == "astheno":
-        return _pluriclosed(spec, m, name, spec.n - 2)
-    raise ValueError(
-        "unknown condition %r (choose from %s or pluriclosed:K)"
-        % (cond, ", ".join(_CONDITIONS))
-    )
-
-
-def _pluriclosed(spec, m, label, exponent, dps=(0, 1)) -> CheckResult:
-    """Witness of ``label``: omega^exponent after the term tables ``dps``
-    (delbar, then del, by default); true with none for an exponent below 1,
-    but like every condition refused on a spec that is no complex."""
+        row = ((lambda n: n - k,), (0, 1))
+    elif row is None:
+        raise ValueError(
+            "unknown condition %r (choose from %s or pluriclosed:K)"
+            % (cond, ", ".join(CONDITIONS))
+        )
+    powers, dps = row
     require_complex(spec)
-    if exponent <= 0:
-        return CheckResult(label, True, Form())
-    w = _apply(spec, *m._power(exponent), *dps)
-    return CheckResult(label, not w, w)
+    witness = Form()
+    for e in (power(spec.n) for power in powers):
+        if e > 0:
+            witness = _apply(spec, *m._power(e), *dps)
+            if witness:
+                break
+    return CheckResult(name, not witness, witness)
 
 
 def scan_diagonal_metrics(spec: AlgebraSpec, values, cond: str):

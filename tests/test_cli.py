@@ -9,6 +9,7 @@ from nilcoh.algebra import MAX_DIM
 from nilcoh.catalog import iwasawa_spec, kodaira_spec, nakamura_ce_spec, torus_spec
 from nilcoh.cli import _THEORY_ALIASES, main
 from nilcoh.dsl import format_structure_file, parse_structure_file
+from nilcoh.metrics import CONDITIONS
 
 
 @pytest.fixture
@@ -444,6 +445,28 @@ def test_catalog_malformed_parametrized_key_exits_two(capsys, action):
     code, out, err = run(capsys, ["catalog", action, "exnilp(4,A={(1,2):1},B=0)"])
     assert code == 2 and out == ""
     assert err == "matrix literal must look like [[...],[...]] or 0\n"
+
+
+@pytest.mark.parametrize("action", ["show", "suite"])
+@pytest.mark.parametrize(
+    "key, refusal",
+    [
+        ("torus(3,4)", "torus wants one dimension"),
+        ("exnilp_ones(3,4)", "exnilp_ones wants one dimension"),
+        ("fps_skt(0,1,-1,1,1,0)", "fps_skt wants five scalars"),
+        ("exnilp(3,A=0,B=0,A=0)", "exnilp wants (n, A=..., B=...)"),
+        ("product(kodaira,torus(1),torus(1))", "product wants two catalog keys"),
+    ],
+)
+def test_catalog_family_with_an_extra_argument_exits_two(capsys, action, key, refusal):
+    code, out, err = run(capsys, ["catalog", action, key])
+    assert (code, out, err) == (2, "", refusal + "\n")
+
+
+def test_metric_help_lists_every_condition(capsys):
+    _, out, _ = run(capsys, ["metric", "--help"])
+    names = out.split("CHECK: ", 1)[1].split("\n", 1)[0].split(", ")
+    assert sorted(names) == sorted([*CONDITIONS, "pluriclosed:K"])
 
 
 @pytest.mark.parametrize(

@@ -34,7 +34,7 @@ from nilcoh.cohomology import (
 from nilcoh.dsl import parse_structure_file
 from nilcoh.forms import BasisForm, Form, alpha, alphabar, component_masks, degree_masks
 from nilcoh.linalg import IndexedMatrix, hstack, kernel_basis, rank, subquotient_dim, vstack
-from nilcoh.metrics import check_condition, diagonal_metric, scan_diagonal_metrics
+from nilcoh.metrics import CONDITIONS, check_condition, diagonal_metric, scan_diagonal_metrics
 from nilcoh.obstructions import (
     gap_verdict,
     holomorphic_one_forms,
@@ -98,8 +98,7 @@ _ENTRY_POINTS = {
     "kunneth_check:right": lambda s: kunneth_check(torus_spec(1), s),
     **{
         "metric:" + c: lambda s, c=c: check_condition(s, diagonal_metric(s.n), c)
-        for c in ("kahler", "gauduchon", "skt", "astheno", "ft_pair")
-        + ("pluriclosed:1", "pluriclosed:2")
+        for c in (*CONDITIONS, "pluriclosed:1", "pluriclosed:2")
     },
     "scan_diagonal_metrics": lambda s: next(scan_diagonal_metrics(s, [1], "skt")),
     "l_functional": lambda s: l_functional(s, diagonal_metric(s.n)),

@@ -185,7 +185,7 @@ def test_read_structure_file_drops_one_leading_byte_order_mark(tmp_path):
         (b"algebra t dim 2\n# caf\xff\n", 2, 6),
         # \r\n and \r end a line as they do for the parser
         (b"algebra t dim 2\r\n\rd a2 = (1)*a1^~a1 # \xc3(\n", 3, 21),
-        (b"\xef\xbb\xbfalgebra t dim 2 # \xe2\x82", 1, 20),  # cut off at the end
+        (b"\xef\xbb\xbfalgebra t dim 2 # \xe2\x82", 1, 19),  # cut off at the end
     ],
     ids=["comment", "crlf-and-cr", "cut-off"],
 )

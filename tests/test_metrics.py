@@ -320,9 +320,11 @@ def test_check_condition_witnesses_match_oracle():
         skt = ddbar(1)
         expected = {
             "kahler": oracle.d_mv(powers[1]),
+            "gauduchon": ddbar(n - 1),
             "skt": skt,
             "astheno": ddbar(n - 2),
             "ft_pair": skt or ddbar(2),
+            "ftpair": skt or ddbar(2),
         }
         expected.update(("pluriclosed:%d" % k, ddbar(n - k)) for k in range(1, n + 1))
         for cond, want in expected.items():
