@@ -39,8 +39,9 @@ import functools
 import math
 from collections import namedtuple
 
-from .forms import BasisForm, Form, _mask_form, _mask_indices
-from .linalg import IndexedMatrix, _echelon, _integer_rows
+from .forms import Form, _mask, _mask_form, _mask_indices
+from .linalg import IndexedMatrix, _echelon
+from .scalars import _integer_rows
 
 _ALLOWED_BIDEGREES = {(2, 0), (1, 1)}
 
@@ -164,12 +165,6 @@ class ValidationReport(namedtuple("ValidationReport", "failing_generators nilpot
 
 # ---------------------------------------------------------------------------
 # the differential and its bidegree components
-
-
-def _mask(n: int, bf: BasisForm) -> int:
-    """The monomial as a bitmask: a_j is bit j - 1 and ~a_j bit n + j - 1,
-    so the canonical factor order is the order of the bits."""
-    return sum(1 << (j - 1) for j in bf.holo) + sum(1 << (n + j - 1) for j in bf.anti)
 
 
 @_per_spec
@@ -316,40 +311,32 @@ def nilpotency_filtration(spec: AlgebraSpec):
     or repeats (not nilpotent, the repeated dimension is recorded).
 
     A term c e_x ^ e_y (x < y) of d e_b gives [E_x, E_y] the entry c at b;
-    the sign and L change no span.  Each step brackets every E_x with every
-    basis row of g^l and eliminates the nonzero results once; the reduced
-    rows, denominators cleared, are the basis of g^{l+1}."""
+    the sign and L change no span.  With ad_x the matrix whose row y is
+    [E_x, E_y], ``series @ ad_x`` brackets each basis row of g^l with E_x;
+    the echelon rows of one forward pass over all the brackets, each
+    divided by the gcd of its entries, are a basis of g^{l+1}."""
     size = 2 * spec.n
-    ad = [{} for _ in range(size)]  # ad[x][y]: [E_x, E_y] as (b, re, im)
+    basis = tuple(range(size))
+    ad = [[[] for _ in basis] for _ in basis]
     for b, placed in _term_tables(spec)[1][None]:
         for g, _, re, im in placed:
             x, y = (g & -g).bit_length() - 1, g.bit_length() - 1
-            ad[x].setdefault(y, []).append((b.bit_length() - 1, re, im))
-            ad[y].setdefault(x, []).append((b.bit_length() - 1, -re, -im))
-    series = [{j: (1, 0)} for j in range(size)]
+            ad[x][y].append((b.bit_length() - 1, re, im))
+            ad[y][x].append((b.bit_length() - 1, -re, -im))
+    ad = [IndexedMatrix.from_int_rows(basis, basis, map(tuple, ad_x)) for ad_x in ad]
+    series = IndexedMatrix.from_int_rows(basis, basis, [((j, 1, 0),) for j in basis])
     dims = []
     while True:
-        rows = []
-        for ad_x in ad:
-            for row in series:
-                out = {}
-                for y, (yr, yi) in row.items():
-                    for b, cr, ci in ad_x.get(y, ()):
-                        xr, xi = out.get(b, (0, 0))
-                        out[b] = (xr + yr * cr - yi * ci, xi + yr * ci + yi * cr)
-                bracket = [(b, re, im) for b, (re, im) in out.items() if re or im]
-                if bracket:
-                    rows.append(bracket)
-        pivots, reduced, (lr, li), _ = _echelon(rows, size, True)
+        rows = [row for ad_x in ad for row in (series @ ad_x).int_rows() if row]
+        pivots, echelon, _, _ = _echelon(rows, size, False)
         dims.append(size - len(pivots))
-        if not pivots or len(pivots) == len(series):
+        if not pivots or len(pivots) == series.nrows:
             return not pivots, dims
-        series = []
-        for row in reduced[: len(pivots)]:
-            # row / last is a reduced row: keep it times the lcm of its denominators
-            row = [(j, re * lr + im * li, im * lr - re * li) for j, (re, im) in row.items()]
-            g = math.gcd(*(v for _, re, im in row for v in (re, im)))
-            series.append({j: (re // g, im // g) for j, re, im in row})
+        kept = []
+        for row in echelon[: len(pivots)]:
+            g = math.gcd(*(v for x in row.values() for v in x))
+            kept.append(tuple((j, re // g, im // g) for j, (re, im) in row.items()))
+        series = IndexedMatrix.from_int_rows(range(len(kept)), basis, kept)
 
 
 @_per_spec

@@ -57,6 +57,7 @@ from .linalg import (
     subquotient_dim,
     vstack,
 )
+from .scalars import _quotient
 
 
 def _serre(n, p, q):
@@ -186,12 +187,11 @@ def derham_betti(spec: AlgebraSpec) -> list:
 
 def _vector_forms(spec: AlgebraSpec, cols, vectors):
     """The Forms of Gaussian-integer vectors over the monomial masks
-    ``cols``, each divided by its first nonzero entry l as x conj(l) / |l|^2."""
+    ``cols``, each divided by its first nonzero entry."""
     out = []
     for vec in vectors:
-        lr, li = vec[min(vec)]
-        terms = {cols[j]: (re * lr + im * li, im * lr - re * li) for j, (re, im) in vec.items()}
-        out.append(_mask_form(spec.n, terms, lr * lr + li * li))
+        terms, norm = _quotient(vec, vec[min(vec)])
+        out.append(_mask_form(spec.n, {cols[j]: (re, im) for j, re, im in terms}, norm))
     return out
 
 

@@ -12,8 +12,9 @@ conjugation each list their (monomial, coefficient) pairs and pass them to it.
 A monomial is also a bitmask, a_j bit j - 1 and ~a_j bit n + j - 1, so the
 canonical factor order is the order of the bits.  The bases of the
 operator matrices are tuples of masks (:func:`component_masks`,
-:func:`degree_masks`), and :func:`_mask_form` is the one place a mask
-combination becomes a Form of BasisForms.
+:func:`degree_masks`).  :func:`_mask` encodes a BasisForm as its mask, and
+its inverse :func:`_mask_form` is the one place a mask combination becomes
+a Form of BasisForms.
 
 Sign conventions (fixed once, used everywhere):
 
@@ -32,13 +33,10 @@ Worked examples::
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from itertools import combinations
 
-from .scalars import GaussianRational
-
-_SCALAR_TYPES = (GaussianRational, int, Fraction)
+from .scalars import GaussianRational, _over
 
 
 def _merge_sign(left: tuple, right: tuple) -> int:
@@ -124,6 +122,12 @@ class BasisForm:
 
 
 UNIT = BasisForm((), ())
+
+
+def _mask(n: int, bf: BasisForm) -> int:
+    """The monomial as a bitmask: a_j is bit j - 1 and ~a_j bit n + j - 1,
+    so the canonical factor order is the order of the bits."""
+    return sum(1 << (j - 1) for j in bf.holo) + sum(1 << (n + j - 1) for j in bf.anti)
 
 
 def _mask_indices(mask):
@@ -264,10 +268,9 @@ class Form:
         return Form([(bf, -c) for bf, c in self._terms.items()])
 
     def __mul__(self, scalar):
-        if not isinstance(scalar, _SCALAR_TYPES):
+        scalar = GaussianRational._coerce(scalar)
+        if scalar is None:
             return NotImplemented
-        if not isinstance(scalar, GaussianRational):
-            scalar = GaussianRational(scalar)
         return Form([(bf, c * scalar) for bf, c in self._terms.items()])
 
     __rmul__ = __mul__
@@ -338,7 +341,6 @@ def _mask_form(n: int, terms, den) -> Form:
     """The Form of a dict mask -> (re, im) of Gaussian integers over
     ``den``, where a_j is bit j - 1 of a mask and ~a_j bit n + j - 1."""
     return Form(
-        (BasisForm(_mask_indices(w & ((1 << n) - 1)), _mask_indices(w >> n)),
-         GaussianRational(Fraction(re, den), Fraction(im, den)))
+        (BasisForm(_mask_indices(w & ((1 << n) - 1)), _mask_indices(w >> n)), _over(re, im, den))
         for w, (re, im) in terms.items()
     )

@@ -6,9 +6,9 @@ row, as Gaussian integers (re, im) over one denominator shared by the
 whole matrix, and all the work is done on those integers.  The product
 multiplies nonzero by nonzero in Z[i] and multiplies the denominators;
 the stacks bring their operands to a common denominator.  Gaussian
-rationals are built only at the edge: the dense constructor and the dense
-``entries`` view, the vectors of ``kernel_basis`` and ``span_basis``, and
-the witness of a failed containment check.
+rationals are built only at the edge, with the helpers of ``scalars``: the
+dense constructor and ``entries`` view, the vectors of ``kernel_basis``
+and ``span_basis``, and the witness of a failed containment check.
 
 One fraction-free echelon routine does all the exact elimination.  It
 keeps every row as a dict from column to Gaussian integer holding its
@@ -19,13 +19,13 @@ integers: every intermediate entry stays a minor of the integer matrix,
 so numerators and denominators do not grow through repeated gcd
 reduction, and a step costs the nonzeros of the rows with an entry in
 its pivot column: a row it skips is brought up to date when a later step
-reaches it.  A forward pass gives ``greedy_complement`` and the
-determinants behind ``MetricForm.leading_minors``.  The fraction-free
+reaches it.  A forward pass gives ``greedy_complement``, the determinants
+behind ``MetricForm.leading_minors`` and a basis of each term of the lower
+central series in ``nilpotency_filtration``.  The fraction-free
 Gauss-Jordan extension gives the reduced row echelon form, which is
 unique: the kernel vectors are read off it over Z[i] (``kernel_basis``
-normalizes them, first nonzero coordinate 1), ``span_basis`` returns its
-nonzero rows and ``nilpotency_filtration`` clears their denominators for
-each term of the lower central series.
+normalizes them, first nonzero coordinate 1) and ``span_basis`` returns
+its nonzero rows.
 
 ``rank`` needs no vectors, so it first tries to certify the rank from two
 cheap bounds.  The lower bound is the rank of the integer rows mod one
@@ -63,11 +63,8 @@ stored rank.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
-from .scalars import GaussianRational
-
-_GR_ZERO = GaussianRational(0)
+from .scalars import _dense, _denominator, _integer_rows, _quotient, _scaled_rows
 
 
 class ContainmentError(Exception):
@@ -147,14 +144,7 @@ class IndexedMatrix:
     @property
     def entries(self):
         """The dense rows, as a tuple of tuples."""
-        den = self.denominator
-        out = []
-        for row in self._int_rows:
-            dense = [_GR_ZERO] * len(self.cols)
-            for j, re, im in row:
-                dense[j] = _gauss(re, im, den)
-            out.append(tuple(dense))
-        return tuple(out)
+        return tuple(_dense(row, self.denominator, self.ncols) for row in self._int_rows)
 
     def __matmul__(self, other):
         if not isinstance(other, IndexedMatrix):
@@ -192,48 +182,6 @@ class IndexedMatrix:
 
     def __repr__(self):
         return "IndexedMatrix(%d rows x %d cols)" % (self.nrows, self.ncols)
-
-
-def _gauss(re, im, den) -> GaussianRational:
-    """The Gaussian rational (re + im i) / den."""
-    if den == 1:
-        return GaussianRational(re, im)
-    return GaussianRational(Fraction(re, den), Fraction(im, den))
-
-
-def _denominator(values):
-    """The lcm of the denominators of some Gaussian rationals."""
-    denom = 1
-    for z in values:
-        denom = math.lcm(denom, z.re.denominator, z.im.denominator)
-    return denom
-
-
-def _scaled_rows(rows, den):
-    """Rows given by (column, Gaussian rational) pairs, some of them zero,
-    as tuples of (column, re, im) triples of their nonzero entries times
-    ``den``, a common multiple of their denominators."""
-    return [
-        tuple(
-            (
-                j,
-                z.re.numerator * (den // z.re.denominator),
-                z.im.numerator * (den // z.im.denominator),
-            )
-            for j, z in row
-            if z
-        )
-        for row in rows
-    ]
-
-
-def _integer_rows(rows):
-    """``(int_rows, L)``: rows given by (column, Gaussian rational) pairs
-    as Gaussian-integer rows (see :func:`_scaled_rows`) over L, the lcm of
-    all their denominators."""
-    rows = [tuple(row) for row in rows]
-    den = _denominator(z for row in rows for _, z in row)
-    return _scaled_rows(rows, den), den
 
 
 def _common_rows(ops):
@@ -288,17 +236,6 @@ def hstack(*ops: IndexedMatrix) -> IndexedMatrix:
 
 # ---------------------------------------------------------------------------
 # fraction-free echelon form
-
-
-def _dense_quotient(row, d, ncols):
-    """The Q(i) vector row / d = row conj(d) / |d|^2, for a dict row of
-    Gaussian integers."""
-    dr, di = d
-    norm = dr * dr + di * di
-    out = [_GR_ZERO] * ncols
-    for j, (re, im) in row.items():
-        out[j] = _gauss(re * dr + im * di, im * dr - re * di, norm)
-    return tuple(out)
 
 
 def _combine(p, row, f, prow, q):
@@ -598,7 +535,7 @@ def kernel_basis(m: IndexedMatrix):
     Vectors are tuples over the column labels, first nonzero coordinate 1,
     ordered by free column index (deterministic).
     """
-    return [_dense_quotient(vec, vec[min(vec)], m.ncols) for vec in _kernel_vectors(m)]
+    return [_dense(*_quotient(vec, vec[min(vec)]), m.ncols) for vec in _kernel_vectors(m)]
 
 
 def span_basis(vectors):
@@ -608,7 +545,7 @@ def span_basis(vectors):
         return []
     nc = len(vectors[0])
     pivots, rows, last, _ = _echelon(_integer_rows(map(enumerate, vectors))[0], nc, True)
-    return [_dense_quotient(row, last, nc) for row in rows[: len(pivots)]]
+    return [_dense(*_quotient(row, last), nc) for row in rows[: len(pivots)]]
 
 
 def greedy_complement(base: IndexedMatrix, candidates):
@@ -640,9 +577,10 @@ def check_containment(kernel_of: IndexedMatrix, image: IndexedMatrix):
     if escaped:
         j = min(escaped)
         witness, value = (
-            tuple(
-                next((_gauss(re, im, m.denominator) for c, re, im in row if c == j), _GR_ZERO)
-                for row in m.int_rows()
+            _dense(
+                [(i, re, im) for i, row in enumerate(m.int_rows()) for c, re, im in row if c == j],
+                m.denominator,
+                m.nrows,
             )
             for m in (image, prod)
         )

@@ -52,8 +52,8 @@ from math import factorial
 
 from .algebra import AlgebraSpec, _apply, _per_spec, parse_dimension, require_complex
 from .forms import Form, _mask_form
-from .linalg import _echelon, _integer_rows
-from .scalars import GaussianRational
+from .linalg import _echelon
+from .scalars import GaussianRational, _integer_rows
 
 
 def _as_scalar(x) -> GaussianRational:
@@ -245,7 +245,7 @@ def check_condition(spec: AlgebraSpec, m: MetricForm, cond: str) -> CheckResult:
             k = 0
         if head != "pluriclosed" or not 0 < k <= spec.n:
             raise ValueError("pluriclosed:K needs K in 1..%d, in digits 0-9" % spec.n)
-        row = ((lambda n: n - k,), (0, 1))
+        name, row = "pluriclosed:%d" % k, ((lambda n: n - k,), (0, 1))
     elif row is None:
         raise ValueError(
             "unknown condition %r (choose from %s or pluriclosed:K)"

@@ -1,8 +1,10 @@
 """Exact arithmetic in the field Q(i) of Gaussian rationals.
 
 A Gaussian rational is ``re + im*i`` with ``re, im`` arbitrary-precision
-rationals (stdlib :class:`fractions.Fraction`).  All computations in this
-package use this field; no floating point appears anywhere.
+rationals (stdlib :class:`fractions.Fraction`); a float part, no exact
+value, is refused with TypeError.  The package computes over Z[i] and
+shows Q(i) where a value is read, and this module owns the exchange:
+:func:`_over`, :func:`_dense`, :func:`_integer_rows` and :func:`_quotient`.
 
 Scalars print in the structure-file syntax, e.g. ``3``, ``-1/2``, ``2i``,
 ``1/2-3i``; :func:`parse_scalar` reads the same syntax back.
@@ -10,6 +12,7 @@ Scalars print in the structure-file syntax, e.g. ``3``, ``-1/2``, ``2i``,
 
 from __future__ import annotations
 
+import math
 import re as _re
 from fractions import Fraction
 
@@ -32,8 +35,8 @@ class GaussianRational:
 
     def __init__(self, re=0, im=0):
         # a Fraction is immutable and already reduced: keep it, not a copy
-        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
-        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
+        object.__setattr__(self, "re", re if type(re) is Fraction else _exact(re))
+        object.__setattr__(self, "im", im if type(im) is Fraction else _exact(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
@@ -139,6 +142,69 @@ class GaussianRational:
 
     def __repr__(self):
         return "GaussianRational(%r, %r)" % (str(self.re), str(self.im))
+
+
+def _exact(x) -> Fraction:
+    """``x`` as a Fraction; a float is refused, not read as the binary fraction it is."""
+    if isinstance(x, float):
+        raise TypeError("a Gaussian rational takes exact parts, not the float %r" % x)
+    return Fraction(x)
+
+
+def _over(re, im, den) -> GaussianRational:
+    """The Gaussian rational (re + im i) / den, den a positive integer."""
+    return GaussianRational(Fraction(re, den), Fraction(im, den))
+
+
+def _dense(cells, den, ncols) -> tuple:
+    """The ``ncols`` Gaussian rationals holding (re + im i) / den in the
+    column of each (column, re, im) of ``cells``, and 0 elsewhere."""
+    out = [GaussianRational(0)] * ncols
+    for j, re, im in cells:
+        out[j] = _over(re, im, den)
+    return tuple(out)
+
+
+def _denominator(values):
+    """The lcm of the denominators of some Gaussian rationals."""
+    denom = 1
+    for z in values:
+        denom = math.lcm(denom, z.re.denominator, z.im.denominator)
+    return denom
+
+
+def _scaled_rows(rows, den):
+    """Rows given by (key, Gaussian rational) pairs, some of them zero,
+    as tuples of (key, re, im) triples of their nonzero entries times
+    ``den``, a common multiple of their denominators."""
+    return [
+        tuple(
+            (
+                j,
+                z.re.numerator * (den // z.re.denominator),
+                z.im.numerator * (den // z.im.denominator),
+            )
+            for j, z in row
+            if z
+        )
+        for row in rows
+    ]
+
+
+def _integer_rows(rows):
+    """``(int_rows, L)``: rows of (key, Gaussian rational) pairs as the
+    Gaussian-integer rows of :func:`_scaled_rows` over L, the lcm of their denominators."""
+    rows = [tuple(row) for row in rows]
+    den = _denominator(z for row in rows for _, z in row)
+    return _scaled_rows(rows, den), den
+
+
+def _quotient(vec, d):
+    """``vec``, a dict key -> (re, im) of Gaussian integers, divided by d =
+    (dr, di) != 0: the (key, re, im) triples of vec * conj(d), and |d|^2."""
+    dr, di = d
+    terms = [(j, re * dr + im * di, im * dr - re * di) for j, (re, im) in vec.items()]
+    return terms, dr * dr + di * di
 
 
 def parse_scalar(text: str) -> GaussianRational:

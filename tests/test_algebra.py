@@ -260,6 +260,24 @@ def test_filtration_matches_oracle():
         assert (True, rep.filtration) == expected
 
 
+def test_filtration_runs_only_the_forward_pass(monkeypatch):
+    """Any echelon basis spans g^{l+1} and only dimensions are read, so
+    the filtration never asks for the reduced form."""
+    import nilcoh.algebra
+
+    modes = []
+    real = nilcoh.algebra._echelon
+
+    def spy(rows, ncols, reduced):
+        modes.append(reduced)
+        return real(rows, ncols, reduced)
+
+    monkeypatch.setattr(nilcoh.algebra, "_echelon", spy)
+    for spec in (iwasawa_spec(), solv_spec(), chain_spec(5), nakamura_ce_spec()):
+        nilcoh.algebra.nilpotency_filtration(spec)
+    assert modes and not any(modes)
+
+
 def test_filtration_at_the_dimension_limit():
     spec = AlgebraSpec("x", MAX_DIM, [Form()] * (MAX_DIM - 1) + [alpha(1) ^ alpha(2)])
     rep = validate(spec)

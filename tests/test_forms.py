@@ -6,10 +6,10 @@ from itertools import combinations
 
 import pytest
 
-from nilcoh.algebra import _mask
 from nilcoh.forms import (
     BasisForm,
     Form,
+    _mask,
     alpha,
     alphabar,
     component_masks,
@@ -136,6 +136,15 @@ def test_coefficient_lookup():
     f = GaussianRational(0, 2) * (alpha(1) ^ alphabar(2))
     assert f.coefficient(BasisForm((1,), (2,))) == GaussianRational(0, 2)
     assert f.coefficient(BasisForm((2,), (1,))) == GaussianRational(0)
+
+
+def test_float_coefficients_are_refused():
+    with pytest.raises(TypeError, match="float"):
+        Form({BasisForm((1,)): 0.1})
+    with pytest.raises(TypeError):
+        alpha(1) * 0.5
+    assert Form({BasisForm((1,)): "1/10"}) == Form({BasisForm((1,)): Fraction(1, 10)})
+    assert alpha(1) * 2 == Form({BasisForm((1,)): 2})
 
 
 def test_shift_relabels_generators():

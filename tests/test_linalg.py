@@ -27,7 +27,7 @@ from nilcoh.linalg import (
     vstack,
 )
 from nilcoh.metrics import MetricForm
-from nilcoh.scalars import GaussianRational
+from nilcoh.scalars import GaussianRational, _dense, _quotient
 
 from oracle import scalar_to_sympy
 
@@ -566,7 +566,7 @@ def test_staircase_elimination_equals_sympy(reduced):
         assert got == list(pivots) and rank(m) == r
         assert not any(rows[r:])
         if reduced:
-            assert [nilcoh.linalg._dense_quotient(row, last, m.ncols) for row in rows[:r]] == [
+            assert [_dense(*_quotient(row, last), m.ncols) for row in rows[:r]] == [
                 tuple(from_sympy(expected[k, j]) for j in range(m.ncols)) for k in range(r)
             ]
         if m.nrows == m.ncols == r:

@@ -196,6 +196,14 @@ def test_diagonal_metric_requires_real_entries():
         diagonal_metric(2, [gr(0, 1), gr(1)])
 
 
+def test_metric_inputs_refuse_floats():
+    with pytest.raises(TypeError, match="float"):
+        diagonal_metric(2, [0.1, 1])
+    with pytest.raises(TypeError, match="float"):
+        fps_lhs(0.1, 0, 0, 0, 0)
+    assert diagonal_metric(2, ["1/10", 1]) == diagonal_metric(2, [Fraction(1, 10), 1])
+
+
 def test_dimension_mismatch_is_refused():
     with pytest.raises(ValueError):
         check_condition(iwasawa_spec(), diagonal_metric(2), "skt")
@@ -257,9 +265,13 @@ def test_condition_names_are_validated():
     for k in ("x", "", "64", "65"):
         with pytest.raises(ValueError, match="pluriclosed:K needs K in 1..3"):
             check_condition(iwasawa_spec(), diagonal_metric(3), "pluriclosed:" + k)
-    # K is read as a dimension: leading zeros are accepted
-    padded = check_condition(iwasawa_spec(), diagonal_metric(3), "pluriclosed:003")
-    assert padded.holds and padded.condition == "pluriclosed:003"
+    # K is read as a dimension: leading zeros are accepted, and dropped from the label
+    for k in ("3", "03", "003"):
+        padded = check_condition(iwasawa_spec(), diagonal_metric(3), "pluriclosed:" + k)
+        assert padded.holds and padded.condition == "pluriclosed:3"
+    assert check_condition(iwasawa_spec(), diagonal_metric(3), "pluriclosed:02").condition == (
+        "pluriclosed:2"
+    )
 
 
 def test_checks_are_scale_invariant():

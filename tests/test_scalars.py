@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from nilcoh.scalars import GaussianRational, parse_scalar
+from nilcoh.scalars import GaussianRational, _over, _quotient, parse_scalar
 
 from oracle import scalar_to_sympy
 
@@ -57,6 +57,36 @@ def test_field_operations_against_sympy():
         if b:
             assert sympy.simplify(scalar_to_sympy(a / b) - sa / sb) == 0
             assert (a / b) * b == a
+
+
+def test_floats_are_refused():
+    for re, im in ((0.1, 0), (1, 0.5), (Fraction(1, 2), 2.0), (float("nan"), 0)):
+        with pytest.raises(TypeError, match="float"):
+            GaussianRational(re, im)
+    with pytest.raises(TypeError):
+        GaussianRational(1) + 0.5
+    assert GaussianRational(1, "1/2") == GaussianRational(Fraction(1), Fraction(1, 2))
+    assert GaussianRational("-3/6") == GaussianRational(Fraction(-1, 2))
+
+
+def test_over_and_quotient_agree_with_division():
+    """(re + im i) / den by ``_over``, and a Gaussian-integer vector, zero
+    entries included, divided by a nonzero Gaussian integer by ``_quotient``,
+    equal the same divisions done in Q(i)."""
+    rng = random.Random(17)
+    for _ in range(200):
+        re, im, den = rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(1, 12)
+        assert _over(re, im, den) == GaussianRational(re, im) / den
+        vec = {j: (rng.randint(-3, 3), rng.randint(-3, 3)) for j in range(rng.randint(0, 6))}
+        vec[rng.randint(0, 9)] = (0, 0)
+        d = (0, 0)
+        while d == (0, 0):
+            d = (rng.randint(-4, 4), rng.randint(-4, 4))
+        terms, norm = _quotient(vec, d)
+        assert norm == d[0] ** 2 + d[1] ** 2
+        assert {j: _over(xr, xi, norm) for j, xr, xi in terms} == {
+            j: GaussianRational(*x) / GaussianRational(*d) for j, x in vec.items()
+        }
 
 
 def test_division_by_zero():
