@@ -29,17 +29,18 @@ The nilpotency flag reads the series ``S_l = { phi : d phi in
 Lambda^2(S_{l-1}) }`` of one-forms, S_0 = 0.  As d phi(X, Y) =
 -phi([X, Y]), S_l = (g^{l+1})^perp for the lower central series g^1 = g,
 g^{l+1} = [g, g^l] of the dual Lie algebra, so S_l reaches all 2n
-one-forms exactly when g is nilpotent.  Integrability is not read off
-the series: the bidegree check of :class:`AlgebraSpec` enforces it.
+one-forms exactly when g is nilpotent; the bracket is read off d on one-forms.
+Integrability is not read off the series: :class:`AlgebraSpec` checks it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import re as _re
 from collections import namedtuple
 
-from .forms import Form, _mask, _mask_form, _mask_indices
+from .forms import Form, _mask, _mask_form, _mask_indices, degree_masks
 from .linalg import IndexedMatrix, _echelon
 from .scalars import _integer_rows
 
@@ -50,6 +51,8 @@ _ALLOWED_BIDEGREES = {(2, 0), (1, 1)}
 # grids) before a spec exists, so outside input is checked against this
 # before anything of size n is built.
 MAX_DIM = 64
+
+NAME_RE = _re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # a spec name, as a file header writes it
 
 
 def check_dimension(n: int) -> int:
@@ -78,6 +81,8 @@ class AlgebraSpec:
     __slots__ = ("name", "n", "d_generators", "_caches")
 
     def __init__(self, name: str, n: int, d_generators):
+        if not NAME_RE.fullmatch(name):
+            raise ValueError("spec name %.60r is not an identifier %s" % (name, NAME_RE.pattern))
         check_dimension(n)
         d_generators = tuple(
             f if isinstance(f, Form) else Form(f) for f in d_generators
@@ -310,25 +315,29 @@ def nilpotency_filtration(spec: AlgebraSpec):
     appended until the flag reaches 2n (nilpotent, 2n is the last entry)
     or repeats (not nilpotent, the repeated dimension is recorded).
 
-    A term c e_x ^ e_y (x < y) of d e_b gives [E_x, E_y] the entry c at b;
-    the sign and L change no span.  With ad_x the matrix whose row y is
-    [E_x, E_y], ``series @ ad_x`` brackets each basis row of g^l with E_x;
-    the echelon rows of one forward pass over all the brackets, each
-    divided by the gcd of its entries, are a basis of g^{l+1}."""
+    Row e_x ^ e_y (x < y) of d on one-forms holds [E_x, E_y] up to sign
+    and L, which change no span.  Row y of ``ad`` holds [E_x, E_y] in column
+    block x, so one product ``series @ ad`` brackets each basis row of g^l
+    with every E_x; the echelon rows of one forward pass over its (x, row)
+    blocks, each divided by the gcd of its entries, are a basis of g^{l+1}.
+    NotAComplex unless d.d = 0, by the gate of :func:`differential_matrix`."""
     size = 2 * spec.n
     basis = tuple(range(size))
-    ad = [[[] for _ in basis] for _ in basis]
-    for b, placed in _term_tables(spec)[1][None]:
-        for g, _, re, im in placed:
-            x, y = (g & -g).bit_length() - 1, g.bit_length() - 1
-            ad[x][y].append((b.bit_length() - 1, re, im))
-            ad[y][x].append((b.bit_length() - 1, -re, -im))
-    ad = [IndexedMatrix.from_int_rows(basis, basis, map(tuple, ad_x)) for ad_x in ad]
+    d1 = differential_matrix(spec, degree_masks(spec.n, 1), degree_masks(spec.n, 2))
+    ad = [[] for _ in basis]
+    for w, row in zip(d1.rows, d1.int_rows()):
+        x, y = (w & -w).bit_length() - 1, w.bit_length() - 1
+        ad[y] += [(size * x + b, re, im) for b, re, im in row]
+        ad[x] += [(size * y + b, -re, -im) for b, re, im in row]
+    ad = IndexedMatrix.from_int_rows(basis, range(size * size), [tuple(sorted(r)) for r in ad])
     series = IndexedMatrix.from_int_rows(basis, basis, [((j, 1, 0),) for j in basis])
     dims = []
     while True:
-        rows = [row for ad_x in ad for row in (series @ ad_x).int_rows() if row]
-        pivots, echelon, _, _ = _echelon(rows, size, False)
+        blocks = {}
+        for i, row in enumerate((series @ ad).int_rows()):
+            for j, re, im in row:
+                blocks.setdefault((j // size, i), []).append((j % size, re, im))
+        pivots, echelon, _, _ = _echelon(blocks.values(), size, False)
         dims.append(size - len(pivots))
         if not pivots or len(pivots) == series.nrows:
             return not pivots, dims

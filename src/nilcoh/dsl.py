@@ -27,11 +27,10 @@ from __future__ import annotations
 
 import re as _re
 
-from .algebra import MAX_DIM, AlgebraSpec, parse_dimension
+from .algebra import MAX_DIM, NAME_RE, AlgebraSpec, parse_dimension
 from .forms import BasisForm, Form, wedge_basis
 from .scalars import parse_scalar
 
-_IDENT_RE = _re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _INT_RE = _re.compile(r"\d+", _re.ASCII)
 _GEN_RE = _re.compile(r"a(\d+)", _re.ASCII)
 _BOM = "\ufeff"  # decoding as utf-8-sig would import a codec module on each run
@@ -86,7 +85,7 @@ class _LineScanner:
 
     def keyword(self, word):
         self.skip_ws()
-        m = _IDENT_RE.match(self.text, self.pos)
+        m = NAME_RE.match(self.text, self.pos)
         if m is None or m.group(0) != word:
             self.error("expected keyword %r" % word)
         self.pos = m.end()
@@ -162,7 +161,7 @@ def parse_structure_file(text: str) -> AlgebraSpec:
         sc = _LineScanner(line, lineno)
         if header is None:
             sc.keyword("algebra")
-            name = sc.match_re(_IDENT_RE, "algebra name").group(0)
+            name = sc.match_re(NAME_RE, "algebra name").group(0)
             sc.keyword("dim")
             digits = sc.match_re(_INT_RE, "dimension")
             try:

@@ -8,11 +8,13 @@ import pytest
 from nilcoh.algebra import (
     MAX_DIM,
     AlgebraSpec,
+    NotAComplex,
     d,
     del_,
     delbar,
     deldelbar,
     direct_sum,
+    nilpotency_filtration,
     validate,
 )
 from nilcoh.catalog import (
@@ -240,6 +242,9 @@ def test_filtration_matches_oracle():
     rng = random.Random(15)
     specs = [nakamura_ce_spec(), solv_spec()]
     specs += [random_two_step(rng, rng.randint(2, 5), density=0.5) for _ in range(10)]
+    # at n = 6 several generators bracket at once, into several blocks of one product row
+    wide = random.Random(16)
+    specs += [random_two_step(wide, 6, density=0.5) for _ in range(3)]
     layered = []
     while len(layered) < 40:
         spec = random_layered(rng, rng.randint(2, 4))
@@ -276,6 +281,26 @@ def test_filtration_runs_only_the_forward_pass(monkeypatch):
     for spec in (iwasawa_spec(), solv_spec(), chain_spec(5), nakamura_ce_spec()):
         nilcoh.algebra.nilpotency_filtration(spec)
     assert modes and not any(modes)
+
+
+def test_filtration_makes_one_product_per_step(monkeypatch):
+    """One bracket matrix holds ad of every generator, so each step of
+    the series is one product."""
+    from nilcoh.linalg import IndexedMatrix
+
+    products = []
+    real = IndexedMatrix.__matmul__
+    monkeypatch.setattr(IndexedMatrix, "__matmul__", lambda a, b: products.append(b) or real(a, b))
+    for spec in (iwasawa_spec(), solv_spec(), nakamura_ce_spec(), chain_spec(6)):
+        products.clear()
+        _, dims = nilpotency_filtration(spec)
+        assert len(products) == len(dims), spec
+
+
+def test_filtration_of_a_non_complex_raises():
+    spec = AlgebraSpec("bad2", 2, [Form(), alpha(1) ^ alphabar(2)])
+    with pytest.raises(NotAComplex):
+        nilpotency_filtration(spec)
 
 
 def test_filtration_at_the_dimension_limit():

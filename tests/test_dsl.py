@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from nilcoh.algebra import MAX_DIM
+from nilcoh.algebra import MAX_DIM, AlgebraSpec
 from nilcoh.catalog import exnilp_spec, fps_spec, iwasawa_spec, kodaira_spec, torus_spec
 from nilcoh.dsl import (
     StructureSyntaxError,
@@ -131,6 +131,12 @@ def test_round_trip_fixed_specs():
         again = parse_structure_file(text)
         assert again == spec
         assert format_structure_file(again) == text
+
+
+@pytest.mark.parametrize("name", ["my spec", ""])
+def test_a_spec_name_outside_the_header_grammar_is_refused(name):
+    with pytest.raises(ValueError, match="not an identifier"):
+        AlgebraSpec(name, 2, [Form(), Form()])
 
 
 def test_round_trip_random_specs():
